@@ -21,12 +21,7 @@ from .homology import homology_profile, poset_homology
 from .poset import FinitePoset
 from .reduction import DEFAULT_BUDGET, core, is_contractible
 from .simplicial import barycentric, face_poset, face_poset_op, order_complex
-from .verify import checks, suite
-from .verify.report import CheckReport
-
-
-def _default_budget() -> int:
-    return int(os.environ.get("FINHTOP_BUDGET", DEFAULT_BUDGET))
+from .verify import suite
 
 
 def _load(path: str):
@@ -102,12 +97,13 @@ def _cmd_diagram(args) -> int:
         f = io.map_from_obj(_load(args.file))
         _print_poset(mapping_cylinder(f), args.format)
         return 0
-    d = io.diagram_from_obj(_load(args.file))
+    obj = _load(args.file)
     if args.action == "hocolim":
-        _print_poset(hocolim(d), args.format)
+        io.require_fiber_kind(obj, "poset")
+        _print_poset(hocolim(io.diagram_from_obj(obj)), args.format)
     elif args.action == "restrict":
         kept = args.keep.split(",") if args.keep else []
-        r = restrict(d, kept)
+        r = restrict(io.diagram_from_obj(obj), kept)
         if args.format == "json":
             _emit(io.dumps(io.diagram_to_obj(r)))
         else:
@@ -115,43 +111,12 @@ def _cmd_diagram(args) -> int:
     return 0
 
 
-def _run_check_on_input(theorem: str, args) -> CheckReport:
-    budget = args.budget
-    obj = _load(args.input)
-    if theorem in ("ubp", "maximum", "dbp", "dbpgen", "up-wp", "thomason"):
-        d = io.diagram_from_obj(obj)
-        if theorem == "ubp":
-            return checks.check_ubp(d, args.point)
-        if theorem == "maximum":
-            return checks.check_maximum(d)
-        if theorem == "dbp":
-            return checks.check_dbp(d, args.point, args.dominator)
-        if theorem == "dbpgen":
-            return checks.check_dbpgen(d, args.point, args.dominator)
-        if theorem == "up-wp":
-            return checks.check_up_wp(d, args.point, budget)
-        return checks.check_thomason_roundtrip(d)
-    if theorem == "homotopy":
-        return checks.check_homotopy_lemma(io.morphism_from_obj(obj))
-    if theorem == "cofinality":
-        phi = io.map_from_obj(obj["map"])
-        d = io.diagram_from_obj(obj["diagram"])
-        return checks.check_cofinality(phi, d, budget)
-    if theorem in ("barycentric", "index-contractible", "gamma-index"):
-        c = io.complex_diagram_from_obj(obj)
-        if theorem == "barycentric":
-            return checks.check_barycentric(c)
-        if theorem == "index-contractible":
-            return checks.check_index_contractible(c)
-        return checks.check_gamma_index(c, budget)
-    raise FinhtopError(f"unknown theorem id {theorem!r}")
-
-
 def _cmd_check(args) -> int:
     if args.theorem == "all":
         reports = suite.run_all(args.seed, args.budget)
     elif args.input:
-        reports = [_run_check_on_input(args.theorem, args)]
+        t = suite.THEOREMS[args.theorem]
+        reports = [t.check(t.read_input(_load(args.input), vars(args)), args.budget)]
     else:
         n = args.random if args.random is not None else 10
         reports = suite.run_family(args.theorem, n, args.seed, args.budget)
@@ -198,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diagram.set_defaults(fn=_cmd_diagram)
 
     p_check = sub.add_parser("check", help="run theorem checkers")
-    p_check.add_argument("theorem", choices=suite.THEOREMS + ("all",))
+    p_check.add_argument("theorem", choices=(*suite.THEOREMS, "all"))
     p_check.add_argument("--input", help="JSON instance file")
     p_check.add_argument("--random", type=int, help="number of random instances")
     p_check.add_argument("--seed", type=int, default=0)
@@ -214,13 +179,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "budget", None) is None:
-        args.budget = _default_budget()
+        args.budget = int(os.environ.get("FINHTOP_BUDGET", DEFAULT_BUDGET))
     try:
         return args.fn(args)
-    except FinhtopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (FinhtopError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,9 @@
-"""Diagrams of finite posets over a poset, and their Grothendieck construction.
+"""Diagrams over a finite poset, and the Grothendieck construction.
 
-A diagram assigns a nonempty finite poset to every index element and an
-order-preserving transition map to every related pair, functorially.  Its
-non-Hausdorff homotopy colimit is again a finite poset: the disjoint union
+A diagram assigns a nonempty finite poset (or simplicial complex) to every
+index element and an order-preserving (or simplicial) transition map to
+every related pair, functorially.  The non-Hausdorff homotopy colimit of a
+diagram of posets is again a finite poset: the disjoint union
 of the fibers, with x in the fiber over p below y in the fiber over q
 exactly when p <= q and the transition image of x is below y.
 """
@@ -35,7 +36,7 @@ def synthesize_transitions(
 
     For every p < q each factorization through an element z with
     p <= z < q must yield the same composite; the offending triple is
-    reported otherwise.  Shared by poset- and complex-valued diagrams.
+    reported otherwise.
     """
     covers = set(index.covers)
     for key in cover_maps:
@@ -71,21 +72,26 @@ def synthesize_transitions(
     return trans
 
 
-class PosetDiagram:
-    """Functor from a finite index poset to finite posets.
+class Diagram:
+    """Functor from a finite index poset to finite posets or simplicial complexes.
 
     ``transitions`` holds a map for every related pair (p, q), including
     identities; construction takes maps on cover pairs only and synthesizes
-    the composites, rejecting non-functorial input.
+    the composites with the fiber kind's ``identity`` and ``compose``,
+    rejecting non-functorial input.  Build diagrams of posets with
+    ``new_diagram`` and diagrams of complexes with
+    ``simplicial.new_complex_diagram``.
     """
 
-    __slots__ = ("index", "fibers", "transitions")
+    __slots__ = ("index", "fibers", "transitions", "identity", "compose")
 
     def __init__(
         self,
         index: FinitePoset,
-        fibers: Mapping[str, FinitePoset],
-        cover_transitions: Mapping[tuple[str, str], PosetMap],
+        fibers: Mapping[str, object],
+        cover_transitions: Mapping[tuple[str, str], object],
+        identity: Callable[[object], object],
+        compose: Callable[[object, object], object],
     ):
         for p in index.elements:
             if p not in fibers:
@@ -102,6 +108,8 @@ class PosetDiagram:
                 )
         self.index = index
         self.fibers = dict(fibers)
+        self.identity = identity
+        self.compose = compose
         self.transitions = synthesize_transitions(
             index,
             dict(cover_transitions),
@@ -109,23 +117,23 @@ class PosetDiagram:
             compose_maps=compose,
         )
 
-    def fiber(self, p: str) -> FinitePoset:
+    def fiber(self, p: str):
         try:
             return self.fibers[p]
         except KeyError:
             raise UnknownElement(f"{p!r} is not an index element") from None
 
-    def transition(self, p: str, q: str) -> PosetMap:
+    def transition(self, p: str, q: str):
         try:
             return self.transitions[(p, q)]
         except KeyError:
             raise UnknownElement(f"no relation {p!r} <= {q!r} in the index") from None
 
-    def cover_transitions(self) -> dict[tuple[str, str], PosetMap]:
+    def cover_transitions(self) -> dict[tuple[str, str], object]:
         return {pq: self.transitions[pq] for pq in self.index.covers}
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, PosetDiagram):
+        if not isinstance(other, Diagram):
             return NotImplemented
         return (
             self.index == other.index
@@ -134,28 +142,28 @@ class PosetDiagram:
         )
 
     def __repr__(self) -> str:
-        total = sum(len(f) for f in self.fibers.values())
-        return f"PosetDiagram({len(self.index)} index elements, {total} fiber points)"
+        return f"Diagram({len(self.index)} index elements)"
 
 
 def new_diagram(
     index: FinitePoset,
     fibers: Mapping[str, FinitePoset],
     cover_transitions: Mapping[tuple[str, str], PosetMap],
-) -> PosetDiagram:
-    return PosetDiagram(index, fibers, cover_transitions)
+) -> Diagram:
+    """A diagram of posets."""
+    return Diagram(index, fibers, cover_transitions, identity, compose)
 
 
-def constant_diagram(index: FinitePoset, fiber: FinitePoset) -> PosetDiagram:
+def constant_diagram(index: FinitePoset, fiber: FinitePoset) -> Diagram:
     maps = {(p, q): identity(fiber) for (p, q) in index.covers}
-    return PosetDiagram(index, {p: fiber for p in index.elements}, maps)
+    return new_diagram(index, {p: fiber for p in index.elements}, maps)
 
 
 def hocolim_name(p: str, x: str) -> str:
     return f"{p}{NAMESPACE_SEP}{x}"
 
 
-def hocolim(d: PosetDiagram) -> FinitePoset:
+def hocolim(d: Diagram) -> FinitePoset:
     """The Grothendieck construction of the diagram, as a finite poset.
 
     Elements are namespaced "p::x"; the result is validated as a poset and
@@ -188,25 +196,25 @@ def hocolim(d: PosetDiagram) -> FinitePoset:
     return FinitePoset.from_closure(names, leq)
 
 
-def restrict(d: PosetDiagram, keep) -> PosetDiagram:
+def restrict(d: Diagram, keep) -> Diagram:
     """The diagram restricted to a subposet of the index."""
     sub = d.index.subposet(keep)
     fibers = {p: d.fibers[p] for p in sub.elements}
     maps = {(p, q): d.transitions[(p, q)] for (p, q) in sub.covers}
-    return PosetDiagram(sub, fibers, maps)
+    return Diagram(sub, fibers, maps, d.identity, d.compose)
 
 
-def pullback(phi: PosetMap, d: PosetDiagram) -> PosetDiagram:
+def pullback(phi: PosetMap, d: Diagram) -> Diagram:
     """Reindex d along phi: the fiber over p is the fiber over phi(p)."""
     if phi.target != d.index:
         raise DomainMismatch("pullback requires phi.target == diagram index")
     p_index = phi.source
     fibers = {p: d.fibers[phi(p)] for p in p_index.elements}
     maps = {(p, q): d.transitions[(phi(p), phi(q))] for (p, q) in p_index.covers}
-    return PosetDiagram(p_index, fibers, maps)
+    return Diagram(p_index, fibers, maps, d.identity, d.compose)
 
 
-def canonical_map(phi: PosetMap, d: PosetDiagram) -> PosetMap:
+def canonical_map(phi: PosetMap, d: Diagram) -> PosetMap:
     """hocolim(pullback(phi, d)) -> hocolim(d), (p, x) |-> (phi(p), x)."""
     pb = pullback(phi, d)
     source = hocolim(pb)
@@ -223,9 +231,9 @@ def mapping_cylinder(f: PosetMap) -> FinitePoset:
     return hocolim(cylinder_diagram(f))
 
 
-def cylinder_diagram(f: PosetMap) -> PosetDiagram:
+def cylinder_diagram(f: PosetMap) -> Diagram:
     two = new_poset(["0", "1"], [("0", "1")])
-    return PosetDiagram(two, {"0": f.source, "1": f.target}, {("0", "1"): f})
+    return new_diagram(two, {"0": f.source, "1": f.target}, {("0", "1"): f})
 
 
 class DiagramMorphism:
@@ -235,9 +243,9 @@ class DiagramMorphism:
 
     def __init__(
         self,
-        source: PosetDiagram,
-        target: PosetDiagram,
-        components: Mapping[str, PosetMap],
+        source: Diagram,
+        target: Diagram,
+        components: Mapping[str, object],
     ):
         if source.index != target.index:
             raise DomainMismatch("diagram morphism requires equal index posets")
@@ -248,13 +256,13 @@ class DiagramMorphism:
             if c.source != source.fibers[p] or c.target != target.fibers[p]:
                 raise DomainMismatch(f"component at {p!r} has wrong source/target")
         for (p, q) in source.index.covers:
-            lhs = compose(components[p], target.transitions[(p, q)])
-            rhs = compose(source.transitions[(p, q)], components[q])
+            lhs = source.compose(components[p], target.transitions[(p, q)])
+            rhs = source.compose(source.transitions[(p, q)], components[q])
             if lhs != rhs:
                 raise NaturalityError(f"naturality fails on cover {p!r} -> {q!r}")
         self.source = source
         self.target = target
         self.components = dict(components)
 
-    def component(self, p: str) -> PosetMap:
+    def component(self, p: str):
         return self.components[p]

@@ -221,7 +221,8 @@ def _boundary_arrays(k: SimplicialComplex) -> list[np.ndarray]:
                 a[rows[face], j] = (-1) ** i
         arrays.append(a)
     for lower, upper in zip(arrays, arrays[1:]):
-        assert not (lower @ upper).any(), "boundary of boundary is nonzero"
+        if (lower @ upper).any():
+            raise RuntimeError("invariant broken: boundary of boundary is nonzero")
     return arrays
 
 
@@ -229,7 +230,7 @@ def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
     """Boundary operators [d_1, ..., d_dim] in lexicographic simplex order.
 
     The sign of deleting the i-th vertex (under the sorted vertex order of
-    the simplex) is (-1)^i.  d_k d_{k+1} = 0 is asserted.
+    the simplex) is (-1)^i.  d_k d_{k+1} = 0 is checked.
     """
     return [
         IntegerMatrix.from_rows(a.shape[0], a.shape[1], a.tolist())
@@ -260,9 +261,11 @@ def homology_profile(k: SimplicialComplex) -> HomologyProfile:
         betti.append(nk - rk - rk1)
         tors = [d for d in factors[deg]] if deg < dim else []
         torsion.append(tuple(d for d in tors if abs(d) > 1))
-    profile = HomologyProfile.make(betti, torsion)
-    assert sum((-1) ** d * b for d, b in enumerate(betti)) == euler_characteristic(k)
-    return profile
+    if sum((-1) ** d * b for d, b in enumerate(betti)) != euler_characteristic(k):
+        raise RuntimeError(
+            "invariant broken: Betti numbers disagree with the Euler characteristic"
+        )
+    return HomologyProfile.make(betti, torsion)
 
 
 @lru_cache(maxsize=8192)
@@ -271,7 +274,3 @@ def poset_homology(p: FinitePoset) -> HomologyProfile:
     homotopy type)."""
     require_nonempty(p)
     return homology_profile(order_complex(p))
-
-
-def profiles_equal(a: HomologyProfile, b: HomologyProfile) -> bool:
-    return a == b

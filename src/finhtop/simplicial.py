@@ -13,15 +13,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .diagram import PosetDiagram, synthesize_transitions
-from .errors import (
-    DomainMismatch,
-    EmptyComplex,
-    EmptyFiber,
-    MissingFiber,
-    NotSimplicial,
-    UnknownElement,
-)
+from .diagram import Diagram, new_diagram
+from .errors import DomainMismatch, EmptyComplex, NotSimplicial, UnknownElement
 from .poset import FinitePoset, PosetMap, require_nonempty
 
 
@@ -231,21 +224,23 @@ def face_poset_op(k: SimplicialComplex) -> FinitePoset:
     return face_poset(k).opposite()
 
 
+def _simplex_images(f: SimplicialMap) -> dict[str, str]:
+    """Every source simplex, by name, to the name of its image simplex."""
+    return {
+        simplex_name(s): simplex_name(f.image_simplex(s))
+        for bucket in f.source.simplices_by_dim()
+        for s in bucket
+    }
+
+
 def face_poset_map(f: SimplicialMap) -> PosetMap:
-    assignment = {}
-    for bucket in f.source.simplices_by_dim():
-        for s in bucket:
-            assignment[simplex_name(s)] = simplex_name(f.image_simplex(s))
-    return PosetMap(face_poset(f.source), face_poset(f.target), assignment)
+    return PosetMap(face_poset(f.source), face_poset(f.target), _simplex_images(f))
 
 
 def face_poset_map_op(f: SimplicialMap) -> PosetMap:
-    # Set images preserve inclusion both ways, so the same assignment is
-    # order preserving between the opposite posets.
-    inclusion = face_poset_map(f)
-    return PosetMap(
-        inclusion.source.opposite(), inclusion.target.opposite(), inclusion.assignment
-    )
+    # Set images preserve inclusion, so the same assignment is order
+    # preserving between the opposite posets.
+    return PosetMap(face_poset_op(f.source), face_poset_op(f.target), _simplex_images(f))
 
 
 def barycentric(k: SimplicialComplex) -> SimplicialComplex:
@@ -274,101 +269,36 @@ def preimage_poset(fop: PosetMap, sigma: str) -> FinitePoset:
 # -- diagrams of complexes ----------------------------------------------------
 
 
-class ComplexDiagram:
-    """Functor from a finite index poset to simplicial complexes."""
-
-    __slots__ = ("index", "fibers", "transitions")
-
-    def __init__(
-        self,
-        index: FinitePoset,
-        fibers: Mapping[str, SimplicialComplex],
-        cover_transitions: Mapping[tuple[str, str], SimplicialMap],
-    ):
-        for p in index.elements:
-            if p not in fibers:
-                raise MissingFiber(f"no fiber for index element {p!r}")
-        for p in fibers:
-            index.index_of(p)
-        for p, fib in fibers.items():
-            if fib.is_empty():
-                raise EmptyFiber(f"fiber at {p!r} is empty")
-        for (p, q), f in cover_transitions.items():
-            if f.source != fibers[p] or f.target != fibers[q]:
-                raise DomainMismatch(
-                    f"transition {p!r}->{q!r} does not map fiber({p!r}) to fiber({q!r})"
-                )
-        self.index = index
-        self.fibers = dict(fibers)
-        self.transitions = synthesize_transitions(
-            index,
-            dict(cover_transitions),
-            identity_of=lambda p: identity_simplicial(fibers[p]),
-            compose_maps=compose_simplicial,
-        )
-
-    def fiber(self, p: str) -> SimplicialComplex:
-        try:
-            return self.fibers[p]
-        except KeyError:
-            raise UnknownElement(f"{p!r} is not an index element") from None
-
-    def transition(self, p: str, q: str) -> SimplicialMap:
-        try:
-            return self.transitions[(p, q)]
-        except KeyError:
-            raise UnknownElement(f"no relation {p!r} <= {q!r} in the index") from None
-
-    def cover_transitions(self) -> dict[tuple[str, str], SimplicialMap]:
-        return {pq: self.transitions[pq] for pq in self.index.covers}
-
-    def restrict(self, keep) -> "ComplexDiagram":
-        sub = self.index.subposet(keep)
-        fibers = {p: self.fibers[p] for p in sub.elements}
-        maps = {(p, q): self.transitions[(p, q)] for (p, q) in sub.covers}
-        return ComplexDiagram(sub, fibers, maps)
-
-    def __repr__(self) -> str:
-        return f"ComplexDiagram({len(self.index)} index elements)"
+def new_complex_diagram(index, fibers, cover_transitions) -> Diagram:
+    """A diagram of simplicial complexes."""
+    return Diagram(index, fibers, cover_transitions, identity_simplicial, compose_simplicial)
 
 
-def new_complex_diagram(index, fibers, cover_transitions) -> ComplexDiagram:
-    return ComplexDiagram(index, fibers, cover_transitions)
-
-
-def lift_order_complex(d: PosetDiagram) -> ComplexDiagram:
+def lift_order_complex(d: Diagram) -> Diagram:
     """Apply K fiberwise to a poset diagram; functoriality is re-validated."""
     fibers = {p: order_complex(d.fibers[p]) for p in d.index.elements}
     maps = {
         (p, q): SimplicialMap(fibers[p], fibers[q], d.transitions[(p, q)].assignment)
         for (p, q) in d.index.covers
     }
-    return ComplexDiagram(d.index, fibers, maps)
+    return new_complex_diagram(d.index, fibers, maps)
 
 
-def lift_face_poset_op(c: ComplexDiagram) -> PosetDiagram:
+def lift_face_poset_op(c: Diagram) -> Diagram:
     """Apply X(-)^op fiberwise to a complex diagram."""
     fibers = {p: face_poset_op(c.fibers[p]) for p in c.index.elements}
-    maps = {}
-    for (p, q) in c.index.covers:
-        f = c.transitions[(p, q)]
-        assignment = {}
-        for bucket in f.source.simplices_by_dim():
-            for s in bucket:
-                assignment[simplex_name(s)] = simplex_name(f.image_simplex(s))
-        maps[(p, q)] = PosetMap(fibers[p], fibers[q], assignment)
-    return PosetDiagram(c.index, fibers, maps)
+    maps = {
+        (p, q): PosetMap(fibers[p], fibers[q], _simplex_images(c.transitions[(p, q)]))
+        for (p, q) in c.index.covers
+    }
+    return new_diagram(c.index, fibers, maps)
 
 
-def barycentric_diagram(c: ComplexDiagram) -> ComplexDiagram:
+def barycentric_diagram(c: Diagram) -> Diagram:
     """Fiberwise barycentric subdivision, with functorially subdivided maps."""
     fibers = {p: barycentric(c.fibers[p]) for p in c.index.elements}
-    maps = {}
-    for (p, q) in c.index.covers:
-        f = c.transitions[(p, q)]
-        assignment = {}
-        for bucket in f.source.simplices_by_dim():
-            for s in bucket:
-                assignment[simplex_name(s)] = simplex_name(f.image_simplex(s))
-        maps[(p, q)] = SimplicialMap(fibers[p], fibers[q], assignment)
-    return ComplexDiagram(c.index, fibers, maps)
+    maps = {
+        (p, q): SimplicialMap(fibers[p], fibers[q], _simplex_images(c.transitions[(p, q)]))
+        for (p, q) in c.index.covers
+    }
+    return new_complex_diagram(c.index, fibers, maps)

@@ -11,22 +11,20 @@ never assumed.
 
 from __future__ import annotations
 
-import time
-from functools import wraps
-
 import numpy as np
 
 from .. import io
 from ..diagram import (
+    Diagram,
     DiagramMorphism,
-    PosetDiagram,
     hocolim,
     hocolim_name,
+    new_diagram,
     pullback,
     restrict,
 )
 from ..errors import DomainMismatch
-from ..homology import homology_profile, poset_homology, profiles_equal
+from ..homology import euler_characteristic, homology_profile, poset_homology
 from ..poset import FinitePoset, PosetMap
 from ..reduction import (
     DEFAULT_BUDGET,
@@ -46,16 +44,13 @@ from ..reduction import (
     triviality_oracle,
 )
 from ..simplicial import (
-    ComplexDiagram,
     barycentric_diagram,
     face_poset_map_op,
     lift_face_poset_op,
     lift_order_complex,
     preimage_poset,
 )
-from ..homology import euler_characteristic
 from .report import (
-    ESTABLISHED,
     NOT_ESTABLISHED,
     ORACLE_UNKNOWN,
     CheckReport,
@@ -67,25 +62,21 @@ from .report import (
 NECESSARY_CONDITION = "necessary-condition (homology profiles)"
 
 
-def _timed(fn):
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.timing = time.perf_counter() - start
-        return report
-
-    return wrapper
-
-
-def _profile_obj(profile) -> dict:
-    return io.profile_to_obj(profile)
+def _oracle_hypothesis(theorem: str, poset: FinitePoset, budget: int, what: str):
+    """The oracle's verdict on the hypothesis that ``what`` is homotopically
+    trivial, and the Skipped report to return unless it is Trivial."""
+    v = triviality_oracle(poset, budget)
+    if v.verdict == NONTRIVIAL:
+        return v, skipped(theorem, NOT_ESTABLISHED, f"{what} is not homotopically trivial")
+    if v.verdict == UNKNOWN:
+        return v, skipped(theorem, ORACLE_UNKNOWN, f"oracle undecided on the {what}")
+    return v, None
 
 
 # -- up beat points ------------------------------------------------------------
 
 
-def _remove_fiber_up_beats(current: FinitePoset, d: PosetDiagram, p: str):
+def _remove_fiber_up_beats(current: FinitePoset, d: Diagram, p: str):
     """Delete the fiber over p point by point, most of X_p^op first.
 
     Returns (steps, remaining poset) or (None, failing element); every
@@ -101,39 +92,43 @@ def _remove_fiber_up_beats(current: FinitePoset, d: PosetDiagram, p: str):
     return (steps, current), None
 
 
-@_timed
-def check_ubp(d: PosetDiagram, p: str) -> CheckReport:
+def _conclude_point_removal(theorem, d: Diagram, p: str, full, remainder, steps, bundle):
+    """The shared end of ubp, dbp and up-wp.
+
+    Removing the fiber over p from the full hocolim must leave exactly the
+    hocolim restricted away from p, with the same homology profile.
+    """
+    rest = hocolim(restrict(d, [e for e in d.index.elements if e != p]))
+    if remainder != rest:
+        return refuted(theorem, {"mismatch": "remainder is not the restricted hocolim"}, bundle)
+    pa, pb = poset_homology(full), poset_homology(rest)
+    if pa != pb:
+        return refuted(
+            theorem,
+            {"profile_full": io.profile_to_obj(pa), "profile_restricted": io.profile_to_obj(pb)},
+            bundle,
+        )
+    return verified(
+        theorem,
+        {"sequence": RemovalSequence(tuple(steps)).to_obj(), "profile": io.profile_to_obj(pa)},
+    )
+
+
+def check_ubp(d: Diagram, p: str) -> CheckReport:
     """Up-beat index point: the hocolim collapses onto the restricted hocolim."""
     d.index.index_of(p)
     if not is_up_beat(d.index, p):
         return skipped("ubp", NOT_ESTABLISHED, f"{p!r} is not an up beat point of the index")
     full = hocolim(d)
-    rest = hocolim(restrict(d, [e for e in d.index.elements if e != p]))
     result, failing = _remove_fiber_up_beats(full, d, p)
     bundle = {"diagram": io.diagram_to_obj(d), "point": p}
     if result is None:
         return refuted("ubp", {"failing_element": failing}, bundle)
     steps, remainder = result
-    if remainder != rest:
-        return refuted("ubp", {"mismatch": "remainder is not the restricted hocolim"}, bundle)
-    pa, pb = poset_homology(full), poset_homology(rest)
-    if not profiles_equal(pa, pb):
-        return refuted(
-            "ubp",
-            {"profile_full": _profile_obj(pa), "profile_restricted": _profile_obj(pb)},
-            bundle,
-        )
-    return verified(
-        "ubp",
-        {
-            "sequence": RemovalSequence(tuple(steps)).to_obj(),
-            "profile": _profile_obj(pa),
-        },
-    )
+    return _conclude_point_removal("ubp", d, p, full, remainder, steps, bundle)
 
 
-@_timed
-def check_maximum(d: PosetDiagram) -> CheckReport:
+def check_maximum(d: Diagram) -> CheckReport:
     """Index with a maximum: the hocolim strongly collapses onto the top fiber."""
     p = d.index.maximum()
     if p is None:
@@ -142,7 +137,10 @@ def check_maximum(d: PosetDiagram) -> CheckReport:
     bundle = {"diagram": io.diagram_to_obj(d)}
     order = d.index.opposite().linear_extension()
     # The maximum is the unique minimum of the opposite, hence listed first.
-    assert order[0] == p
+    if order[0] != p:
+        raise RuntimeError(
+            "invariant broken: the maximum is not first in the opposite's extension"
+        )
     steps: list[tuple[str, str]] = []
     current = full
     current_d = d
@@ -160,15 +158,15 @@ def check_maximum(d: PosetDiagram) -> CheckReport:
                 "maximum", {"mismatch": f"remainder after {pi!r} is not the restricted hocolim"}, bundle
             )
     pa, pb = poset_homology(full), poset_homology(current)
-    if not profiles_equal(pa, pb):
+    if pa != pb:
         return refuted(
             "maximum",
-            {"profile_full": _profile_obj(pa), "profile_top_fiber": _profile_obj(pb)},
+            {"profile_full": io.profile_to_obj(pa), "profile_top_fiber": io.profile_to_obj(pb)},
             bundle,
         )
     evidence = {
         "sequence": RemovalSequence(tuple(steps)).to_obj(),
-        "profile": _profile_obj(pa),
+        "profile": io.profile_to_obj(pa),
         "all_steps_beat": all(kind == UP_BEAT for _, kind in steps),
     }
     if is_contractible(d.fibers[p]):
@@ -180,7 +178,6 @@ def check_maximum(d: PosetDiagram) -> CheckReport:
     return verified("maximum", evidence)
 
 
-@_timed
 def check_homotopy_lemma(alpha: DiagramMorphism) -> CheckReport:
     """Fiberwise weak equivalences induce a weak equivalence of hocolims.
 
@@ -191,8 +188,8 @@ def check_homotopy_lemma(alpha: DiagramMorphism) -> CheckReport:
     for p in src.index.elements:
         a = poset_homology(src.fibers[p])
         b = poset_homology(tgt.fibers[p])
-        fiber_profiles[p] = _profile_obj(a)
-        if not profiles_equal(a, b):
+        fiber_profiles[p] = io.profile_to_obj(a)
+        if a != b:
             return skipped(
                 "homotopy",
                 NOT_ESTABLISHED,
@@ -204,16 +201,11 @@ def check_homotopy_lemma(alpha: DiagramMorphism) -> CheckReport:
     evidence = {
         "evidence_regime": NECESSARY_CONDITION,
         "fiber_profiles": fiber_profiles,
-        "profile_source": _profile_obj(pa),
-        "profile_target": _profile_obj(pb),
+        "profile_source": io.profile_to_obj(pa),
+        "profile_target": io.profile_to_obj(pb),
     }
-    if not profiles_equal(pa, pb):
-        bundle = {
-            "source": io.diagram_to_obj(src),
-            "target": io.diagram_to_obj(tgt),
-            "components": {p: alpha.components[p].assignment for p in src.index.elements},
-        }
-        return refuted("homotopy", evidence, bundle)
+    if pa != pb:
+        return refuted("homotopy", evidence, io.morphism_to_obj(alpha))
     return verified("homotopy", evidence)
 
 
@@ -221,14 +213,13 @@ def check_homotopy_lemma(alpha: DiagramMorphism) -> CheckReport:
 
 
 def _down_beat_dominated(index: FinitePoset, p: str, q: str) -> bool:
+    index.index_of(p)
+    index.index_of(q)
     return is_down_beat(index, p) and index.covers_below(p) == [q]
 
 
-@_timed
-def check_dbp(d: PosetDiagram, p: str, q: str) -> CheckReport:
+def check_dbp(d: Diagram, p: str, q: str) -> CheckReport:
     """Down-beat index point with contractible transition preimages of basic opens."""
-    d.index.index_of(p)
-    d.index.index_of(q)
     if not _down_beat_dominated(d.index, p, q):
         return skipped(
             "dbp", NOT_ESTABLISHED, f"{p!r} is not a down beat point dominated by {q!r}"
@@ -246,7 +237,6 @@ def check_dbp(d: PosetDiagram, p: str, q: str) -> CheckReport:
                 f"preimage of the basic open set at {x!r} is not contractible",
             )
     full = hocolim(d)
-    rest = hocolim(restrict(d, [e for e in d.index.elements if e != p]))
     bundle = {"diagram": io.diagram_to_obj(d), "point": p, "dominator": q}
     steps = []
     current = full
@@ -256,38 +246,23 @@ def check_dbp(d: PosetDiagram, p: str, q: str) -> CheckReport:
             return refuted("dbp", {"failing_element": name}, bundle)
         steps.append((name, DOWN_WEAK))
         current = current.without(name)
-    if current != rest:
-        return refuted("dbp", {"mismatch": "remainder is not the restricted hocolim"}, bundle)
-    pa, pb = poset_homology(full), poset_homology(rest)
-    if not profiles_equal(pa, pb):
-        return refuted(
-            "dbp",
-            {"profile_full": _profile_obj(pa), "profile_restricted": _profile_obj(pb)},
-            bundle,
-        )
-    return verified(
-        "dbp",
-        {"sequence": RemovalSequence(tuple(steps)).to_obj(), "profile": _profile_obj(pa)},
-    )
+    return _conclude_point_removal("dbp", d, p, full, current, steps, bundle)
 
 
-@_timed
-def check_dbpgen(d: PosetDiagram, p: str, q: str) -> CheckReport:
+def check_dbpgen(d: Diagram, p: str, q: str) -> CheckReport:
     """Down-beat index point whose incoming transition is a weak equivalence.
 
     The weak-equivalence hypothesis is evidenced by homology equality of
     the two fibers; the proof's comparison morphism is constructed and its
     naturality validated.
     """
-    d.index.index_of(p)
-    d.index.index_of(q)
     if not _down_beat_dominated(d.index, p, q):
         return skipped(
             "dbpgen", NOT_ESTABLISHED, f"{p!r} is not a down beat point dominated by {q!r}"
         )
     pa_q = poset_homology(d.fibers[q])
     pa_p = poset_homology(d.fibers[p])
-    if not profiles_equal(pa_q, pa_p):
+    if pa_q != pa_p:
         return skipped(
             "dbpgen",
             NOT_ESTABLISHED,
@@ -304,38 +279,30 @@ def check_dbpgen(d: PosetDiagram, p: str, q: str) -> CheckReport:
         x: (d.transitions[(q, p)] if x == p else d.transitions[(x, x)])
         for x in d.index.elements
     }
-    gamma = DiagramMorphism(gamma_source, d, components)
+    # Construction validates naturality; DomainMismatch guards the index.
+    DiagramMorphism(gamma_source, d, components)
     pa = poset_homology(hocolim(d))
     pb = poset_homology(hocolim(restrict(d, [e for e in d.index.elements if e != p])))
     evidence = {
         "evidence_regime": NECESSARY_CONDITION,
         "gamma_natural": True,
-        "fiber_profile": _profile_obj(pa_p),
-        "profile_full": _profile_obj(pa),
-        "profile_restricted": _profile_obj(pb),
+        "fiber_profile": io.profile_to_obj(pa_p),
+        "profile_full": io.profile_to_obj(pa),
+        "profile_restricted": io.profile_to_obj(pb),
     }
-    assert gamma.source.index == d.index
-    if not profiles_equal(pa, pb):
+    if pa != pb:
         return refuted("dbpgen", evidence, bundle)
     return verified("dbpgen", evidence)
 
 
-@_timed
-def check_up_wp(d: PosetDiagram, p: str, budget: int = DEFAULT_BUDGET) -> CheckReport:
+def check_up_wp(d: Diagram, p: str, budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Index point whose strict up-set is homotopically trivial."""
     d.index.index_of(p)
     up = d.index.strict_up_set(p)
-    verdict = triviality_oracle(up, budget)
-    if verdict.verdict == NONTRIVIAL:
-        return skipped(
-            "up-wp", NOT_ESTABLISHED, f"strict up-set of {p!r} is not homotopically trivial"
-        )
-    if verdict.verdict == UNKNOWN:
-        return skipped(
-            "up-wp", ORACLE_UNKNOWN, f"oracle undecided on the strict up-set of {p!r}"
-        )
+    _, skip = _oracle_hypothesis("up-wp", up, budget, f"strict up-set of {p!r}")
+    if skip:
+        return skip
     full = hocolim(d)
-    rest = hocolim(restrict(d, [e for e in d.index.elements if e != p]))
     bundle = {"diagram": io.diagram_to_obj(d), "point": p}
     steps = []
     current = full
@@ -350,19 +317,7 @@ def check_up_wp(d: PosetDiagram, p: str, budget: int = DEFAULT_BUDGET) -> CheckR
             )
         steps.append((name, GAMMA_UP))
         current = current.without(name)
-    if current != rest:
-        return refuted("up-wp", {"mismatch": "remainder is not the restricted hocolim"}, bundle)
-    pa, pb = poset_homology(full), poset_homology(rest)
-    if not profiles_equal(pa, pb):
-        return refuted(
-            "up-wp",
-            {"profile_full": _profile_obj(pa), "profile_restricted": _profile_obj(pb)},
-            bundle,
-        )
-    return verified(
-        "up-wp",
-        {"sequence": RemovalSequence(tuple(steps)).to_obj(), "profile": _profile_obj(pa)},
-    )
+    return _conclude_point_removal("up-wp", d, p, full, current, steps, bundle)
 
 
 # -- cofinality -------------------------------------------------------------------
@@ -389,7 +344,7 @@ def _mixed_poset(phi: PosetMap) -> FinitePoset:
     return FinitePoset.from_closure(names, leq)
 
 
-def _mixed_diagram(phi: PosetMap, d: PosetDiagram, r: FinitePoset) -> PosetDiagram:
+def _mixed_diagram(phi: PosetMap, d: Diagram, r: FinitePoset) -> Diagram:
     fibers = {}
     for name in r.elements:
         side, _, e = name.partition("::")
@@ -401,11 +356,10 @@ def _mixed_diagram(phi: PosetMap, d: PosetDiagram, r: FinitePoset) -> PosetDiagr
         qa = ea if sa == "Q" else phi(ea)
         qb = eb if sb == "Q" else phi(eb)
         maps[(a, b)] = d.transitions[(qa, qb)]
-    return PosetDiagram(r, fibers, maps)
+    return new_diagram(r, fibers, maps)
 
 
-@_timed
-def check_cofinality(phi: PosetMap, d: PosetDiagram, budget: int = DEFAULT_BUDGET) -> CheckReport:
+def check_cofinality(phi: PosetMap, d: Diagram, budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Preimages of the basic closed sets trivial: the canonical map is a w.e.
 
     The proof's mixed poset over Q + P is built and both removal phases are
@@ -420,23 +374,17 @@ def check_cofinality(phi: PosetMap, d: PosetDiagram, budget: int = DEFAULT_BUDGE
         pre = p_poset.subposet(
             x for x in p_poset.elements if q_poset.leq(q, phi(x))
         )
-        v = triviality_oracle(pre, budget)
-        if v.verdict == NONTRIVIAL:
-            return skipped(
-                "cofinality", NOT_ESTABLISHED, f"preimage of F_{q!r} is not homotopically trivial"
-            )
-        if v.verdict == UNKNOWN:
-            return skipped(
-                "cofinality", ORACLE_UNKNOWN, f"oracle undecided on the preimage of F_{q!r}"
-            )
+        _, skip = _oracle_hypothesis("cofinality", pre, budget, f"preimage of F_{q!r}")
+        if skip:
+            return skip
     bundle = {"map": io.map_to_obj(phi), "diagram": io.diagram_to_obj(d)}
     pa = poset_homology(hocolim(pullback(phi, d)))
     pb = poset_homology(hocolim(d))
     evidence: dict = {
-        "profile_pullback": _profile_obj(pa),
-        "profile_diagram": _profile_obj(pb),
+        "profile_pullback": io.profile_to_obj(pa),
+        "profile_diagram": io.profile_to_obj(pb),
     }
-    if not profiles_equal(pa, pb):
+    if pa != pb:
         return refuted("cofinality", evidence, bundle)
 
     r = _mixed_poset(phi)
@@ -490,23 +438,21 @@ def check_cofinality(phi: PosetMap, d: PosetDiagram, budget: int = DEFAULT_BUDGE
 # -- Thomason-style round trips -----------------------------------------------------
 
 
-@_timed
-def check_thomason_roundtrip(d: PosetDiagram) -> CheckReport:
+def check_thomason_roundtrip(d: Diagram) -> CheckReport:
     """hocolim of a poset diagram vs hocolim of the lifted face-poset diagram."""
     pa = poset_homology(hocolim(d))
     lifted = lift_face_poset_op(lift_order_complex(d))
     pb = poset_homology(hocolim(lifted))
     evidence = {
-        "profile_direct": _profile_obj(pa),
-        "profile_roundtrip": _profile_obj(pb),
+        "profile_direct": io.profile_to_obj(pa),
+        "profile_roundtrip": io.profile_to_obj(pb),
     }
-    if not profiles_equal(pa, pb):
+    if pa != pb:
         return refuted("thomason", evidence, {"diagram": io.diagram_to_obj(d)})
     return verified("thomason", evidence)
 
 
-@_timed
-def check_barycentric(c: ComplexDiagram) -> CheckReport:
+def check_barycentric(c: Diagram) -> CheckReport:
     """hocolim of a complex diagram vs hocolim of its barycentric subdivision."""
     pa = poset_homology(hocolim(lift_face_poset_op(c)))
     sd = barycentric_diagram(c)
@@ -516,20 +462,17 @@ def check_barycentric(c: ComplexDiagram) -> CheckReport:
         for p in c.index.elements
     }
     evidence = {
-        "profile_original": _profile_obj(pa),
-        "profile_subdivided": _profile_obj(pb),
+        "profile_original": io.profile_to_obj(pa),
+        "profile_subdivided": io.profile_to_obj(pb),
         "fiber_euler_characteristics": chi,
     }
-    bundle = {"diagram": io.complex_diagram_to_obj(c)}
-    if any(a != b for a, b in chi.values()):
-        return refuted("barycentric", evidence, bundle)
-    if not profiles_equal(pa, pb):
+    bundle = {"diagram": io.diagram_to_obj(c)}
+    if any(a != b for a, b in chi.values()) or pa != pb:
         return refuted("barycentric", evidence, bundle)
     return verified("barycentric", evidence)
 
 
-@_timed
-def check_index_contractible(c: ComplexDiagram) -> CheckReport:
+def check_index_contractible(c: Diagram) -> CheckReport:
     """Dismantlable index and transitions that are homotopy equivalences.
 
     Transition hypotheses are evidenced by fiber homology equality; the
@@ -539,21 +482,21 @@ def check_index_contractible(c: ComplexDiagram) -> CheckReport:
     if not is_contractible(c.index):
         return skipped("index-contractible", NOT_ESTABLISHED, "index poset is not dismantlable")
     for (p, q) in c.index.covers:
-        if not profiles_equal(homology_profile(c.fibers[p]), homology_profile(c.fibers[q])):
+        if homology_profile(c.fibers[p]) != homology_profile(c.fibers[q]):
             return skipped(
                 "index-contractible",
                 NOT_ESTABLISHED,
                 f"fiber profiles differ along the cover {p!r} -> {q!r}",
                 {"evidence_regime": NECESSARY_CONDITION},
             )
-    bundle = {"diagram": io.complex_diagram_to_obj(c)}
+    bundle = {"diagram": io.diagram_to_obj(c)}
     target = poset_homology(hocolim(lift_face_poset_op(c)))
     evidence: dict = {
         "evidence_regime": NECESSARY_CONDITION,
-        "profile_hocolim": _profile_obj(target),
+        "profile_hocolim": io.profile_to_obj(target),
     }
     for p in c.index.elements:
-        if not profiles_equal(target, homology_profile(c.fibers[p])):
+        if target != homology_profile(c.fibers[p]):
             evidence["failing_fiber"] = p
             return refuted("index-contractible", evidence, bundle)
     _, seq = core(c.index)
@@ -561,38 +504,30 @@ def check_index_contractible(c: ComplexDiagram) -> CheckReport:
     for (x, kind) in seq.steps:
         if kind == DOWN_BEAT:
             dominator = current.index.covers_below(x)[0]
-            if not profiles_equal(
-                homology_profile(current.fibers[dominator]),
-                homology_profile(current.fibers[x]),
-            ):
+            if homology_profile(current.fibers[dominator]) != homology_profile(current.fibers[x]):
                 evidence["failing_step"] = [x, kind]
                 return refuted("index-contractible", evidence, bundle)
-        current = current.restrict([e for e in current.index.elements if e != x])
+        current = restrict(current, [e for e in current.index.elements if e != x])
         step_profile = poset_homology(hocolim(lift_face_poset_op(current)))
-        if not profiles_equal(step_profile, target):
+        if step_profile != target:
             evidence["failing_step"] = [x, kind]
             return refuted("index-contractible", evidence, bundle)
     evidence["sequence"] = RemovalSequence(seq.steps).to_obj()
     return verified("index-contractible", evidence)
 
 
-@_timed
-def check_gamma_index(c: ComplexDiagram, budget: int = DEFAULT_BUDGET) -> CheckReport:
+def check_gamma_index(c: Diagram, budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Index reducible by gamma points, transitions contractible mappings.
 
     Down-side removals require the combinatorial contractible-mapping
     criterion: preimages of basic opens in the opposite face posets are
     homotopically trivial.
     """
-    verdict = triviality_oracle(c.index, budget)
-    if verdict.verdict == NONTRIVIAL:
-        return skipped(
-            "gamma-index", NOT_ESTABLISHED, "index poset is not homotopically trivial"
-        )
-    if verdict.verdict == UNKNOWN:
-        return skipped("gamma-index", ORACLE_UNKNOWN, "oracle undecided on the index poset")
+    verdict, skip = _oracle_hypothesis("gamma-index", c.index, budget, "index poset")
+    if skip:
+        return skip
     seq: RemovalSequence = verdict.evidence["sequence"]
-    bundle = {"diagram": io.complex_diagram_to_obj(c)}
+    bundle = {"diagram": io.diagram_to_obj(c)}
     current = c
     for (x, kind) in seq.steps:
         if kind in (DOWN_BEAT, DOWN_WEAK, GAMMA_DOWN):
@@ -615,16 +550,16 @@ def check_gamma_index(c: ComplexDiagram, budget: int = DEFAULT_BUDGET) -> CheckR
                             ORACLE_UNKNOWN,
                             f"oracle undecided for transition {q!r} -> {x!r} at {sigma!r}",
                         )
-        current = current.restrict([e for e in current.index.elements if e != x])
+        current = restrict(current, [e for e in current.index.elements if e != x])
     last = current.index.elements[0]
     pa = poset_homology(hocolim(lift_face_poset_op(c)))
     pb = homology_profile(c.fibers[last])
     evidence = {
         "sequence": seq.to_obj(),
-        "profile_hocolim": _profile_obj(pa),
-        "profile_fiber": _profile_obj(pb),
+        "profile_hocolim": io.profile_to_obj(pa),
+        "profile_fiber": io.profile_to_obj(pb),
         "remaining_fiber": last,
     }
-    if not profiles_equal(pa, pb):
+    if pa != pb:
         return refuted("gamma-index", evidence, bundle)
     return verified("gamma-index", evidence)

@@ -10,13 +10,14 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from ..diagram import PosetDiagram
-from ..poset import FinitePoset, PosetMap, new_poset
-from ..simplicial import ComplexDiagram, SimplicialComplex, SimplicialMap
-
-
-def _rng(seed) -> random.Random:
-    return random.Random(seed)
+from ..diagram import Diagram, new_diagram
+from ..poset import FinitePoset, PosetMap, compose, new_poset
+from ..simplicial import (
+    SimplicialComplex,
+    SimplicialMap,
+    compose_simplicial,
+    new_complex_diagram,
+)
 
 
 def _random_poset(rng: random.Random, n: int, density: float, prefix: str) -> FinitePoset:
@@ -32,7 +33,7 @@ def _random_poset(rng: random.Random, n: int, density: float, prefix: str) -> Fi
 
 def random_poset(n: int, density: float, seed, prefix: str = "x") -> FinitePoset:
     """Random poset on n elements; density 0 gives an antichain, 1 a chain."""
-    return _random_poset(_rng(seed), n, density, prefix)
+    return _random_poset(random.Random(seed), n, density, prefix)
 
 
 def random_monotone_map(p: FinitePoset, q: FinitePoset, rng: random.Random) -> PosetMap:
@@ -63,48 +64,52 @@ def random_monotone_map(p: FinitePoset, q: FinitePoset, rng: random.Random) -> P
 
 
 def random_poset_map(source_size: int, target_size: int, seed, density: float = 0.5) -> PosetMap:
-    rng = _rng(seed)
+    rng = random.Random(seed)
     p = _random_poset(rng, source_size, density, "s")
     q = _random_poset(rng, target_size, density, "t")
     return random_monotone_map(p, q, rng)
 
 
-def _compose_poset_steps(f: PosetMap, g: PosetMap) -> PosetMap:
-    return PosetMap(f.source, g.target, {x: g(f(x)) for x in f.source.elements})
+def draw_along_extension(index: FinitePoset, draw_fiber, draw_step, compose_step):
+    """Fibers and cover transitions drawn along a linear extension of the index.
 
-
-def transitions_from_extension_steps(index: FinitePoset, step_maps, compose_step):
-    """Cover transitions by composing per-step maps along a linear extension.
-
-    step_maps[i] maps the fiber of the i-th extension element to the fiber
-    of the (i+1)-st; every transition is a composite of the same global
-    chain of maps, so functoriality holds by construction.
+    draw_fiber(p) is called for every extension element in order, then
+    draw_step(fibers, a, b) for every consecutive pair (a, b).  Each cover
+    transition composes the steps between its ends with compose_step, so
+    every transition is a composite of the same global chain of maps and
+    functoriality holds by construction.  Returns (fibers, cover transitions).
     """
     ext = index.linear_extension()
     pos = {e: i for i, e in enumerate(ext)}
+    fibers = {p: draw_fiber(p) for p in ext}
+    steps = [draw_step(fibers, ext[i], ext[i + 1]) for i in range(len(ext) - 1)]
     maps = {}
     for (a, b) in index.covers:
-        m = step_maps[pos[a]]
+        m = steps[pos[a]]
         for i in range(pos[a] + 1, pos[b]):
-            m = compose_step(m, step_maps[i])
+            m = compose_step(m, steps[i])
         maps[(a, b)] = m
-    return maps
+    return fibers, maps
 
 
-def random_diagram(index_size: int, fiber_size: int, seed, density: float = 0.5) -> PosetDiagram:
+def _random_diagram_over(
+    rng: random.Random, index: FinitePoset, fiber_size: int, density: float
+) -> Diagram:
+    """Fibers of 1..fiber_size points and random monotone steps along the index."""
+    fibers, maps = draw_along_extension(
+        index,
+        lambda p: _random_poset(rng, rng.randint(1, fiber_size), density, "x"),
+        lambda f, a, b: random_monotone_map(f[a], f[b], rng),
+        compose,
+    )
+    return new_diagram(index, fibers, maps)
+
+
+def random_diagram(index_size: int, fiber_size: int, seed, density: float = 0.5) -> Diagram:
     """Random diagram; fibers have 1..fiber_size points."""
-    rng = _rng(seed)
+    rng = random.Random(seed)
     index = _random_poset(rng, index_size, density, "p")
-    ext = index.linear_extension()
-    fibers = {
-        p: _random_poset(rng, rng.randint(1, fiber_size), density, "x") for p in ext
-    }
-    steps = [
-        random_monotone_map(fibers[ext[i]], fibers[ext[i + 1]], rng)
-        for i in range(len(ext) - 1)
-    ]
-    maps = transitions_from_extension_steps(index, steps, _compose_poset_steps)
-    return PosetDiagram(index, fibers, maps)
+    return _random_diagram_over(rng, index, fiber_size, density)
 
 
 def _random_complex(rng: random.Random, v: int, density: float = 0.35) -> SimplicialComplex:
@@ -119,7 +124,7 @@ def _random_complex(rng: random.Random, v: int, density: float = 0.35) -> Simpli
 
 def random_complex(v: int, seed, density: float = 0.35) -> SimplicialComplex:
     """Random complex on v vertices; dimension kept at most 2."""
-    return _random_complex(_rng(seed), v, density)
+    return _random_complex(random.Random(seed), v, density)
 
 
 def random_simplicial_map(
@@ -134,23 +139,16 @@ def random_simplicial_map(
     return SimplicialMap(k, l, {v: v0 for v in k.vertices})
 
 
-def random_complex_diagram(
-    index_size: int, v: int, seed, density: float = 0.5
-) -> ComplexDiagram:
-    rng = _rng(seed)
+def random_complex_diagram(index_size: int, v: int, seed, density: float = 0.5) -> Diagram:
+    rng = random.Random(seed)
     index = _random_poset(rng, index_size, density, "p")
-    ext = index.linear_extension()
-    fibers = {p: _random_complex(rng, rng.randint(1, v)) for p in ext}
-    steps = [
-        random_simplicial_map(fibers[ext[i]], fibers[ext[i + 1]], rng)
-        for i in range(len(ext) - 1)
-    ]
-
-    def comp(f, g):
-        return SimplicialMap(f.source, g.target, {x: g(f(x)) for x in f.source.vertices})
-
-    maps = transitions_from_extension_steps(index, steps, comp)
-    return ComplexDiagram(index, fibers, maps)
+    fibers, maps = draw_along_extension(
+        index,
+        lambda p: _random_complex(rng, rng.randint(1, v)),
+        lambda f, a, b: random_simplicial_map(f[a], f[b], rng),
+        compose_simplicial,
+    )
+    return new_complex_diagram(index, fibers, maps)
 
 
 def random_dismantlable_poset(n: int, rng: random.Random, prefix: str = "d") -> FinitePoset:

@@ -26,7 +26,6 @@ class CheckReport:
     conclusion_status: str
     evidence: dict = field(default_factory=dict)
     hypothesis_reason: str | None = None
-    timing: float = 0.0
 
     def __post_init__(self):
         if self.hypothesis_status not in (ESTABLISHED, NOT_ESTABLISHED, ORACLE_UNKNOWN):
@@ -42,8 +41,6 @@ class CheckReport:
         return self.conclusion_status != REFUTED
 
     def to_obj(self) -> dict:
-        # timing is real wall-clock and deliberately not serialized: identical
-        # invocations must produce byte-identical JSON.
         obj = {
             "theorem": self.theorem,
             "hypothesis_status": self.hypothesis_status,

@@ -1,4 +1,4 @@
-"""Seeded instance families for every checker, and the full suite runner.
+"""Seeded instance families for every checker, the theorem table, and the runners.
 
 Instance construction is deterministic in (seed, instance number), so the
 whole battery is reproducible byte for byte.  Families mix planted
@@ -10,32 +10,40 @@ but non-contractible index poset W.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
+from .. import io
 from ..diagram import (
+    Diagram,
     DiagramMorphism,
-    PosetDiagram,
     constant_diagram,
     cylinder_diagram,
+    mapping_cylinder,
     new_diagram,
 )
-from ..poset import FinitePoset, PosetMap, chain, constant_map, identity, new_poset, product
-from ..reduction import DEFAULT_BUDGET
-from ..simplicial import (
-    ComplexDiagram,
-    SimplicialComplex,
-    identity_simplicial,
-    new_complex,
-    new_complex_diagram,
+from ..errors import FinhtopError
+from ..poset import (
+    FinitePoset,
+    PosetMap,
+    chain,
+    compose,
+    constant_map,
+    identity,
+    new_poset,
+    product,
 )
+from ..reduction import DEFAULT_BUDGET
+from ..simplicial import SimplicialComplex, identity_simplicial, new_complex, new_complex_diagram
 from . import checks
 from .randgen import (
-    _compose_poset_steps,
+    _random_diagram_over,
     _random_poset,
+    draw_along_extension,
     random_complex_diagram,
     random_diagram,
     random_dismantlable_poset,
     random_monotone_map,
-    transitions_from_extension_steps,
 )
 from .report import CheckReport
 
@@ -61,7 +69,7 @@ def point_poset() -> FinitePoset:
     return new_poset(["pt"], [])
 
 
-def suspension_diagram(p: FinitePoset) -> PosetDiagram:
+def suspension_diagram(p: FinitePoset) -> Diagram:
     """The pushout diagram pt <- p -> pt (non-Hausdorff suspension)."""
     index = new_poset(["0", "1", "2"], [("0", "1"), ("0", "2")])
     pt = point_poset()
@@ -77,6 +85,21 @@ def circle_complex() -> SimplicialComplex:
     return new_complex(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]])
 
 
+def _chain_projection(x: FinitePoset) -> PosetMap:
+    """The projection from the product of x with the chain c0 < c1 onto x."""
+    two = chain(2)
+    assignment = {f"({e},{c})": e for e in x.elements for c in two.elements}
+    return PosetMap(product(x, two), x, assignment)
+
+
+def _constant_complex_diagram(index: FinitePoset, fiber: SimplicialComplex) -> Diagram:
+    return new_complex_diagram(
+        index,
+        {p: fiber for p in index.elements},
+        {pq: identity_simplicial(fiber) for pq in index.covers},
+    )
+
+
 def _seed(master, family: str, i: int) -> str:
     return f"{master}/{family}/{i}"
 
@@ -84,23 +107,16 @@ def _seed(master, family: str, i: int) -> str:
 # -- instance families -----------------------------------------------------------
 
 
-def ubp_instance(master, i: int) -> tuple[PosetDiagram, str]:
+def ubp_instance(master, i: int) -> tuple[Diagram, str]:
     """Random diagram whose index has a planted up beat point "u"."""
     rng = random.Random(_seed(master, "ubp", i))
     base = _random_poset(rng, rng.randint(1, 4), 0.5, "p")
     anchor = rng.choice(base.elements)
     index = new_poset(list(base.elements) + ["u"], [("u", anchor)] + sorted(base.covers))
-    ext = index.linear_extension()
-    fibers = {p: _random_poset(rng, rng.randint(1, 4), 0.5, "x") for p in ext}
-    steps = [
-        random_monotone_map(fibers[ext[j]], fibers[ext[j + 1]], rng)
-        for j in range(len(ext) - 1)
-    ]
-    maps = transitions_from_extension_steps(index, steps, _compose_poset_steps)
-    return new_diagram(index, fibers, maps), "u"
+    return _random_diagram_over(rng, index, 4, 0.5), "u"
 
 
-def cylinder_instance(master, i: int) -> PosetDiagram:
+def cylinder_instance(master, i: int) -> Diagram:
     """Cylinder of a random monotone map between posets of at most 6 points."""
     rng = random.Random(_seed(master, "cyl", i))
     src = _random_poset(rng, rng.randint(1, 6), 0.5, "s")
@@ -108,20 +124,13 @@ def cylinder_instance(master, i: int) -> PosetDiagram:
     return cylinder_diagram(random_monotone_map(src, tgt, rng))
 
 
-def maximum_instance(master, i: int) -> PosetDiagram:
+def maximum_instance(master, i: int) -> Diagram:
     """Random diagram over an index with a planted maximum."""
     rng = random.Random(_seed(master, "max", i))
     base = _random_poset(rng, rng.randint(1, 4), 0.5, "p")
     rels = sorted(base.covers) + [(m, "top") for m in base.maximal_elements()]
     index = new_poset(list(base.elements) + ["top"], rels)
-    ext = index.linear_extension()
-    fibers = {p: _random_poset(rng, rng.randint(1, 4), 0.5, "x") for p in ext}
-    steps = [
-        random_monotone_map(fibers[ext[j]], fibers[ext[j + 1]], rng)
-        for j in range(len(ext) - 1)
-    ]
-    maps = transitions_from_extension_steps(index, steps, _compose_poset_steps)
-    return new_diagram(index, fibers, maps)
+    return _random_diagram_over(rng, index, 4, 0.5)
 
 
 def homotopy_instance(master, i: int) -> DiagramMorphism:
@@ -157,75 +166,58 @@ def rng_size(master, i: int, bound: int) -> int:
     return random.Random(_seed(master, "size", i)).randint(1, bound)
 
 
-def _planted_down_beat_index(rng: random.Random) -> tuple[FinitePoset, str, str]:
-    """Index with "p" covering exactly the maximal element "q" of a random base."""
+def _planted_down_beat_instance(rng: random.Random, into_p) -> tuple[Diagram, str, str]:
+    """Diagram whose index has "p" covering exactly the maximal element "q" of a random base.
+
+    The fiber at p is a random poset xp; into_p(xp) is the transition q -> p,
+    and its source is the fiber at q.
+    """
     base = _random_poset(rng, rng.randint(1, 3), 0.5, "r")
     rels = sorted(base.covers) + [(m, "q") for m in base.maximal_elements()]
     rels += [("q", "p")]
     index = new_poset(list(base.elements) + ["q", "p"], rels)
-    return index, "p", "q"
+    step = into_p(_random_poset(rng, rng.randint(1, 3), 0.5, "x"))
+    planted = {"q": step.source, "p": step.target}
+
+    def draw_fiber(e):
+        # Drawn at p and q as well, so the seeded stream does not depend on the plant.
+        drawn = _random_poset(rng, rng.randint(1, 3), 0.5, "z")
+        return planted.get(e, drawn)
+
+    def draw_step(f, a, b):
+        return step if b == "p" else random_monotone_map(f[a], f[b], rng)
+
+    fibers, maps = draw_along_extension(index, draw_fiber, draw_step, compose)
+    return new_diagram(index, fibers, maps), "p", "q"
 
 
-def dbp_instance(master, i: int) -> tuple[PosetDiagram, str, str]:
+def dbp_instance(master, i: int) -> tuple[Diagram, str, str]:
     """Fiber at the dominator is a mapping cylinder onto the dominated fiber.
 
     The transition is the cylinder retraction, so every preimage of a basic
     open set is a cone.
     """
     rng = random.Random(_seed(master, "dbp", i))
-    index, p, q = _planted_down_beat_index(rng)
-    xp = _random_poset(rng, rng.randint(1, 3), 0.5, "x")
-    if i % 3 == 0:
-        xq = xp
-        retraction = identity(xp)
-    else:
+
+    def retraction(xp: FinitePoset) -> PosetMap:
+        if i % 3 == 0:
+            return identity(xp)
         y = _random_poset(rng, rng.randint(1, 3), 0.5, "y")
         g = random_monotone_map(y, xp, rng)
-        from ..diagram import mapping_cylinder
-
-        xq = mapping_cylinder(g)
         assignment = {f"0::{v}": g(v) for v in y.elements}
         assignment.update({f"1::{x}": x for x in xp.elements})
-        retraction = PosetMap(xq, xp, assignment)
-    ext = index.linear_extension()
-    fibers = {e: _random_poset(rng, rng.randint(1, 3), 0.5, "z") for e in ext}
-    fibers[q] = xq
-    fibers[p] = xp
-    steps = []
-    for j in range(len(ext) - 1):
-        if ext[j + 1] == p:
-            steps.append(retraction)
-        else:
-            steps.append(random_monotone_map(fibers[ext[j]], fibers[ext[j + 1]], rng))
-    maps = transitions_from_extension_steps(index, steps, _compose_poset_steps)
-    return new_diagram(index, fibers, maps), p, q
+        return PosetMap(mapping_cylinder(g), xp, assignment)
+
+    return _planted_down_beat_instance(rng, retraction)
 
 
-def dbpgen_instance(master, i: int) -> tuple[PosetDiagram, str, str]:
+def dbpgen_instance(master, i: int) -> tuple[Diagram, str, str]:
     """Transition into the removed point is a projection from a product with a chain."""
     rng = random.Random(_seed(master, "dbpgen", i))
-    index, p, q = _planted_down_beat_index(rng)
-    xp = _random_poset(rng, rng.randint(1, 3), 0.5, "x")
-    two = chain(2)
-    xq = product(xp, two)
-    projection = PosetMap(
-        xq, xp, {f"({x},{cc})": x for x in xp.elements for cc in two.elements}
-    )
-    ext = index.linear_extension()
-    fibers = {e: _random_poset(rng, rng.randint(1, 3), 0.5, "z") for e in ext}
-    fibers[q] = xq
-    fibers[p] = xp
-    steps = []
-    for j in range(len(ext) - 1):
-        if ext[j + 1] == p:
-            steps.append(projection)
-        else:
-            steps.append(random_monotone_map(fibers[ext[j]], fibers[ext[j + 1]], rng))
-    maps = transitions_from_extension_steps(index, steps, _compose_poset_steps)
-    return new_diagram(index, fibers, maps), p, q
+    return _planted_down_beat_instance(rng, _chain_projection)
 
 
-def up_wp_instance(master, i: int) -> tuple[PosetDiagram, str]:
+def up_wp_instance(master, i: int) -> tuple[Diagram, str]:
     """Index point "u" whose strict up-set is the W poset or a planted cone."""
     rng = random.Random(_seed(master, "upwp", i))
     if i % 2 == 0:
@@ -245,7 +237,7 @@ def up_wp_instance(master, i: int) -> tuple[PosetDiagram, str]:
     return constant_diagram(index, fiber), "u"
 
 
-def cofinality_instance(master, i: int) -> tuple[PosetMap, PosetDiagram]:
+def cofinality_instance(master, i: int) -> tuple[PosetMap, Diagram]:
     """Four planted families, all with homotopically trivial preimages."""
     rng = random.Random(_seed(master, "cof", i))
     kind = i % 4
@@ -254,13 +246,7 @@ def cofinality_instance(master, i: int) -> tuple[PosetMap, PosetDiagram]:
         return identity(d.index), d
     if kind == 1:
         d = random_diagram(rng.randint(1, 3), 3, _seed(master, "cofd", i))
-        q = d.index
-        two = chain(2)
-        p = product(q, two)
-        phi = PosetMap(
-            p, q, {f"({x},{cc})": x for x in q.elements for cc in two.elements}
-        )
-        return phi, d
+        return _chain_projection(d.index), d
     if kind == 2:
         single = point_poset()
         fiber = _random_poset(rng, rng.randint(1, 4), 0.5, "x")
@@ -274,111 +260,118 @@ def cofinality_instance(master, i: int) -> tuple[PosetMap, PosetDiagram]:
     return phi, d
 
 
-def thomason_instance(master, i: int) -> PosetDiagram:
+def thomason_instance(master, i: int) -> Diagram:
     return random_diagram(rng_size(master, i, 4), 4, _seed(master, "thom", i))
 
 
-def barycentric_instance(master, i: int) -> ComplexDiagram:
+def barycentric_instance(master, i: int) -> Diagram:
     return random_complex_diagram(rng_size(master, i, 3), 4, _seed(master, "bary", i))
 
 
-def index_contractible_instance(master, i: int) -> ComplexDiagram:
+def index_contractible_instance(master, i: int) -> Diagram:
     rng = random.Random(_seed(master, "idxc", i))
     index = random_dismantlable_poset(rng.randint(1, 5), rng)
     fiber = circle_complex() if i % 2 == 0 else edge_complex()
-    return new_complex_diagram(
-        index,
-        {p: fiber for p in index.elements},
-        {pq: identity_simplicial(fiber) for pq in index.covers},
-    )
+    return _constant_complex_diagram(index, fiber)
 
 
-def gamma_index_instance(master, i: int) -> ComplexDiagram:
+def gamma_index_instance(master, i: int) -> Diagram:
     rng = random.Random(_seed(master, "gidx", i))
     if i % 2 == 0:
         index = w_poset()
     else:
         index = random_dismantlable_poset(rng.randint(1, 5), rng)
     fiber = edge_complex() if i % 3 else circle_complex()
-    return new_complex_diagram(
-        index,
-        {p: fiber for p in index.elements},
-        {pq: identity_simplicial(fiber) for pq in index.covers},
+    return _constant_complex_diagram(index, fiber)
+
+
+# -- the theorem table --------------------------------------------------------------
+
+
+def _poset_diagram(obj) -> Diagram:
+    io.require_fiber_kind(obj, "poset")
+    return io.diagram_from_obj(obj)
+
+
+def _complex_diagram(obj) -> Diagram:
+    io.require_fiber_kind(obj, "complex")
+    return io.diagram_from_obj(obj)
+
+
+def _cofinality_input(obj) -> tuple[PosetMap, Diagram]:
+    return io.map_from_obj(obj["map"]), _poset_diagram(obj["diagram"])
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One checked result: its seeded instances, its input file, its checker.
+
+    An instance is what ``instance(seed, i)`` draws, or what ``load`` reads
+    from an input file followed by the values of the ``flags`` options;
+    ``check(instance, budget)`` runs the checker on it.  ``check`` reaches
+    the checker through the ``checks`` module on every call, so a checker
+    rebound there (to trace or time it) is the one that runs.
+    """
+
+    id: str
+    count: int
+    instance: Callable[[object, int], object]
+    load: Callable[[object], object]
+    check: Callable[[object, int], CheckReport]
+    flags: tuple[str, ...] = ()
+
+    def read_input(self, obj, options: Mapping[str, str | None]):
+        """The instance in an input file's JSON, completed by the options it needs."""
+        missing = [f"--{f}" for f in self.flags if options.get(f) is None]
+        if missing:
+            raise FinhtopError(f"check {self.id} --input needs {' and '.join(missing)}")
+        loaded = self.load(obj)
+        return (loaded, *(options[f] for f in self.flags)) if self.flags else loaded
+
+
+THEOREMS = {
+    t.id: t
+    for t in (
+        Theorem("ubp", 10, ubp_instance, _poset_diagram,
+                lambda a, budget: checks.check_ubp(*a), ("point",)),
+        Theorem("maximum", 10,
+                lambda seed, i: (cylinder_instance if i % 2 == 0 else maximum_instance)(seed, i),
+                _poset_diagram, lambda d, budget: checks.check_maximum(d)),
+        Theorem("homotopy", 8, homotopy_instance, io.morphism_from_obj,
+                lambda alpha, budget: checks.check_homotopy_lemma(alpha)),
+        Theorem("dbp", 8, dbp_instance, _poset_diagram,
+                lambda a, budget: checks.check_dbp(*a), ("point", "dominator")),
+        Theorem("dbpgen", 8, dbpgen_instance, _poset_diagram,
+                lambda a, budget: checks.check_dbpgen(*a), ("point", "dominator")),
+        Theorem("up-wp", 4, up_wp_instance, _poset_diagram,
+                lambda a, budget: checks.check_up_wp(*a, budget), ("point",)),
+        Theorem("cofinality", 8, cofinality_instance, _cofinality_input,
+                lambda a, budget: checks.check_cofinality(*a, budget)),
+        Theorem("thomason", 10, thomason_instance, _poset_diagram,
+                lambda d, budget: checks.check_thomason_roundtrip(d)),
+        Theorem("barycentric", 5, barycentric_instance, _complex_diagram,
+                lambda c, budget: checks.check_barycentric(c)),
+        Theorem("index-contractible", 5, index_contractible_instance, _complex_diagram,
+                lambda c, budget: checks.check_index_contractible(c)),
+        Theorem("gamma-index", 4, gamma_index_instance, _complex_diagram,
+                lambda c, budget: checks.check_gamma_index(c, budget)),
     )
+}
 
 
 # -- runners -----------------------------------------------------------------------
 
 
 def run_family(theorem: str, n: int, seed, budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
-    reports = []
-    for i in range(n):
-        if theorem == "ubp":
-            d, p = ubp_instance(seed, i)
-            reports.append(checks.check_ubp(d, p))
-        elif theorem == "maximum":
-            d = cylinder_instance(seed, i) if i % 2 == 0 else maximum_instance(seed, i)
-            reports.append(checks.check_maximum(d))
-        elif theorem == "homotopy":
-            reports.append(checks.check_homotopy_lemma(homotopy_instance(seed, i)))
-        elif theorem == "dbp":
-            d, p, q = dbp_instance(seed, i)
-            reports.append(checks.check_dbp(d, p, q))
-        elif theorem == "dbpgen":
-            d, p, q = dbpgen_instance(seed, i)
-            reports.append(checks.check_dbpgen(d, p, q))
-        elif theorem == "up-wp":
-            d, p = up_wp_instance(seed, i)
-            reports.append(checks.check_up_wp(d, p, budget))
-        elif theorem == "cofinality":
-            phi, d = cofinality_instance(seed, i)
-            reports.append(checks.check_cofinality(phi, d, budget))
-        elif theorem == "thomason":
-            reports.append(checks.check_thomason_roundtrip(thomason_instance(seed, i)))
-        elif theorem == "barycentric":
-            reports.append(checks.check_barycentric(barycentric_instance(seed, i)))
-        elif theorem == "index-contractible":
-            reports.append(checks.check_index_contractible(index_contractible_instance(seed, i)))
-        elif theorem == "gamma-index":
-            reports.append(checks.check_gamma_index(gamma_index_instance(seed, i), budget))
-        else:
-            raise ValueError(f"unknown theorem id {theorem!r}")
-    return reports
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    t = THEOREMS[theorem]
+    return [t.check(t.instance(seed, i), budget) for i in range(n)]
 
 
-THEOREMS = (
-    "ubp",
-    "maximum",
-    "homotopy",
-    "dbp",
-    "dbpgen",
-    "up-wp",
-    "cofinality",
-    "thomason",
-    "barycentric",
-    "index-contractible",
-    "gamma-index",
-)
-
-DEFAULT_COUNTS = {
-    "ubp": 10,
-    "maximum": 10,
-    "homotopy": 8,
-    "dbp": 8,
-    "dbpgen": 8,
-    "up-wp": 4,
-    "cofinality": 8,
-    "thomason": 10,
-    "barycentric": 5,
-    "index-contractible": 5,
-    "gamma-index": 4,
-}
-
-
-def run_all(seed, budget: int = DEFAULT_BUDGET, counts: dict | None = None) -> list[CheckReport]:
+def run_all(seed, budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
     """The full deterministic battery, theorem by theorem."""
-    counts = {**DEFAULT_COUNTS, **(counts or {})}
     reports = []
-    for theorem in THEOREMS:
-        reports.extend(run_family(theorem, counts[theorem], seed, budget))
+    for t in THEOREMS.values():
+        reports.extend(run_family(t.id, t.count, seed, budget))
     return reports

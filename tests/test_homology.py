@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import finhtop
 from finhtop import chain, new_poset
 from finhtop.diagram import hocolim
 from finhtop.homology import (
@@ -15,7 +19,6 @@ from finhtop.homology import (
     euler_characteristic,
     homology_profile,
     poset_homology,
-    profiles_equal,
     rank,
     smith_normal_form,
 )
@@ -155,12 +158,12 @@ class TestProfiles:
         k = random_complex(5, 900 + seed)
         assert homology_profile(k).betti == rational_betti(k)
 
-    def test_profiles_equal_and_padding(self, s1):
+    def test_profile_equality_and_padding(self, s1):
         a = poset_homology(s1)
-        assert profiles_equal(a, a)
-        assert not profiles_equal(a, poset_homology(chain(2)))
+        assert a == a
+        assert a != poset_homology(chain(2))
         padded = HomologyProfile.make([1, 1, 0, 0], [(), (), (), ()])
-        assert profiles_equal(a, padded)
+        assert a == padded
 
     def test_relabel_invariance(self):
         for seed in range(4):
@@ -169,12 +172,12 @@ class TestProfiles:
                 [f"z{e}" for e in p.elements],
                 [(f"z{a}", f"z{b}") for (a, b) in p.covers],
             )
-            assert profiles_equal(poset_homology(p), poset_homology(relabelled))
+            assert poset_homology(p) == poset_homology(relabelled)
 
     def test_opposite_invariance(self):
         for seed in range(4):
             p = random_poset(7, 0.4, 970 + seed)
-            assert profiles_equal(poset_homology(p), poset_homology(p.opposite()))
+            assert poset_homology(p) == poset_homology(p.opposite())
 
     def test_describe(self):
         p = homology_profile(rp2())
@@ -199,3 +202,25 @@ class TestEuler:
             p = homology_profile(k)
             chi = sum((-1) ** d * b for d, b in enumerate(p.betti))
             assert chi == euler_characteristic(k)
+
+    def test_euler_check_survives_optimized_mode(self):
+        # The invariant must be an explicit raise, which -O does not strip.
+        code = (
+            "import finhtop.homology as h\n"
+            "from finhtop.verify.suite import circle_complex\n"
+            "assert False, 'asserts are on'\n"
+            "real = h.euler_characteristic\n"
+            "h.euler_characteristic = lambda k: real(k) + 1\n"
+            "try:\n"
+            "    h.homology_profile(circle_complex())\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(finhtop.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: invariant broken: Betti numbers disagree" in proc.stdout

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,13 +6,18 @@ import sys
 
 import pytest
 
-from finhtop import chain, constant_map, identity, new_poset
+from finhtop import DiagramError, chain, constant_map, identity, new_poset
 from finhtop import io as fio
 from finhtop.cli import main
-from finhtop.diagram import cylinder_diagram, hocolim
+from finhtop.diagram import constant_diagram, cylinder_diagram, hocolim, new_diagram
+from finhtop.reduction import DEFAULT_BUDGET
 from finhtop.simplicial import identity_simplicial, new_complex_diagram
+from finhtop.verify import THEOREMS
 from finhtop.verify.randgen import random_complex, random_diagram, random_poset
-from finhtop.verify.suite import circle_complex, suspension_diagram
+from finhtop.verify.suite import barycentric_instance, circle_complex, suspension_diagram
+
+# sha256 of `finhtop --format json check all --seed 0`, the reference report bytes.
+CHECK_ALL_SHA256 = "611ca7ca517d2a84b9897ba3fbeee636f1e355eb354176d6bdab7a66ffa16b87"
 
 
 class TestRoundTrips:
@@ -48,10 +54,37 @@ class TestRoundTrips:
         c = new_complex_diagram(
             two, {p: k for p in two.elements}, {("0", "1"): identity_simplicial(k)}
         )
-        obj = json.loads(fio.dumps(fio.complex_diagram_to_obj(c)))
-        again = fio.complex_diagram_from_obj(obj)
+        obj = json.loads(fio.dumps(fio.diagram_to_obj(c)))
+        again = fio.diagram_from_obj(obj)
         assert again.fibers == c.fibers
         assert again.transitions == c.transitions
+
+    def test_diagram_with_arrows_in_index_names(self, s1, pt):
+        # Cover keys are "p->q"; the split must be the one naming a cover pair.
+        index = new_poset(["a->b", "c"], [("a->b", "c")])
+        d = new_diagram(index, {"a->b": s1, "c": pt}, {("a->b", "c"): constant_map(s1, pt, "pt")})
+        obj = json.loads(fio.dumps(fio.diagram_to_obj(d)))
+        assert list(obj["transitions"]) == ["a->b->c"]
+        assert fio.diagram_from_obj(obj) == d
+
+    def test_ambiguous_cover_key_rejected(self, pt):
+        # Both covers serialize to "a->b->c"; loading must not guess.
+        index = new_poset(["a", "a->b", "b->c", "c"], [("a", "b->c"), ("a->b", "c")])
+        obj = json.loads(fio.dumps(fio.diagram_to_obj(constant_diagram(index, pt))))
+        with pytest.raises(DiagramError, match="more than one cover pair"):
+            fio.diagram_from_obj(obj)
+
+    def test_unknown_cover_key_rejected(self, sphere_diagram):
+        obj = fio.diagram_to_obj(sphere_diagram)
+        obj["transitions"]["1->2"] = obj["transitions"].pop("0->2")
+        with pytest.raises(DiagramError, match="no cover pair"):
+            fio.diagram_from_obj(obj)
+
+    def test_mixed_fiber_kinds_rejected(self, sphere_diagram):
+        obj = fio.diagram_to_obj(sphere_diagram)
+        obj["fibers"]["1"] = fio.complex_to_obj(circle_complex())
+        with pytest.raises(DiagramError, match="mix posets and complexes"):
+            fio.diagram_from_obj(obj)
 
     def test_identical_values_identical_bytes(self):
         d1 = random_diagram(3, 3, 2300)
@@ -87,6 +120,8 @@ def files(tmp_path, s1, pt):
     paths["map"].write_text(fio.dumps(fio.map_to_obj(constant_map(s1, pt, "pt"))))
     paths["tri"] = tmp_path / "tri.json"
     paths["tri"].write_text(fio.dumps(fio.complex_to_obj(circle_complex())))
+    paths["complex_diagram"] = tmp_path / "complex_diagram.json"
+    paths["complex_diagram"].write_text(fio.dumps(fio.diagram_to_obj(barycentric_instance(0, 0))))
     return paths
 
 
@@ -153,6 +188,46 @@ class TestCli:
         assert main(["check", "maximum", "--input", str(files["cyl"])]) == 0
         assert "Verified" in capsys.readouterr().out
 
+    def test_hocolim_with_arrows_in_index_names(self, tmp_path, s1, pt, capsys):
+        index = new_poset(["a->b", "c"], [("a->b", "c")])
+        d = new_diagram(index, {"a->b": s1, "c": pt}, {("a->b", "c"): constant_map(s1, pt, "pt")})
+        path = tmp_path / "arrows.json"
+        path.write_text(fio.dumps(fio.diagram_to_obj(d)))
+        assert main(["--format", "json", "diagram", "hocolim", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["elements"]) == 5
+
+    def test_hocolim_of_complex_diagram_exits_two(self, files, capsys):
+        assert main(["diagram", "hocolim", str(files["complex_diagram"])]) == 2
+        assert "expected a diagram of poset fibers" in capsys.readouterr().err
+
+    def test_restrict_complex_diagram(self, files, capsys):
+        assert main(["--format", "json", "diagram", "restrict", str(files["complex_diagram"]),
+                     "--keep", "p0"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert list(obj["fibers"]) == ["p0"] and "vertices" in obj["fibers"]["p0"]
+
+    @pytest.mark.parametrize(
+        "theorem, file, kind",
+        [("maximum", "complex_diagram", "poset"), ("barycentric", "sphere", "complex")],
+    )
+    def test_check_input_of_wrong_kind_exits_two(self, files, capsys, theorem, file, kind):
+        assert main(["check", theorem, "--input", str(files[file])]) == 2
+        assert f"expected a diagram of {kind} fibers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "theorem, given, missing",
+        [("ubp", [], "--point"), ("dbp", ["--point", "1"], "--dominator"),
+         ("dbpgen", [], "--point and --dominator")],
+    )
+    def test_check_input_missing_option_exits_two(self, files, capsys, theorem, given, missing):
+        assert main(["check", theorem, "--input", str(files["sphere"]), *given]) == 2
+        assert f"check {theorem} --input needs {missing}" in capsys.readouterr().err
+
+    def test_check_all_reference_bytes(self, capsys):
+        assert main(["--format", "json", "check", "all", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_SHA256
+
     def test_check_random(self, capsys):
         assert main(["check", "thomason", "--random", "3", "--seed", "7"]) == 0
         out = capsys.readouterr().out
@@ -191,3 +266,33 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "true"
+
+
+def _instance_input(theorem: str, instance):
+    """The --input JSON and the options that reproduce a seeded instance."""
+    t = THEOREMS[theorem]
+    if t.flags:
+        instance, *values = instance
+        options = [x for f, v in zip(t.flags, values) for x in (f"--{f}", v)]
+    else:
+        options = []
+    if theorem == "homotopy":
+        return fio.morphism_to_obj(instance), options
+    if theorem == "cofinality":
+        phi, d = instance
+        return {"map": fio.map_to_obj(phi), "diagram": fio.diagram_to_obj(d)}, options
+    return fio.diagram_to_obj(instance), options
+
+
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_check_input_matches_in_process_report(theorem, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FINHTOP_BUDGET", raising=False)
+    t = THEOREMS[theorem]
+    instance = t.instance(0, 0)
+    obj, options = _instance_input(theorem, instance)
+    path = tmp_path / f"{theorem}.json"
+    path.write_text(fio.dumps(obj))
+    code = main(["--format", "json", "check", theorem, "--input", str(path), *options])
+    expected = fio.dumps([t.check(instance, DEFAULT_BUDGET).to_obj()])
+    assert capsys.readouterr().out == expected
+    assert code == 0

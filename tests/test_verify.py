@@ -16,7 +16,7 @@ from finhtop.diagram import (
     hocolim,
     new_diagram,
 )
-from finhtop.homology import poset_homology, profiles_equal
+from finhtop.homology import poset_homology
 from finhtop.simplicial import (
     SimplicialMap,
     identity_simplicial,
@@ -24,6 +24,7 @@ from finhtop.simplicial import (
     new_complex_diagram,
 )
 from finhtop.verify import (
+    THEOREMS,
     check_barycentric,
     check_cofinality,
     check_dbp,
@@ -38,7 +39,6 @@ from finhtop.verify import (
     random_complex,
     random_diagram,
     random_poset,
-    run_all,
     run_family,
 )
 from finhtop.verify.suite import (
@@ -173,7 +173,7 @@ class TestCheckDbpgen:
         d = new_diagram(index, {"0": s1, "1": x1, "2": x1}, {("0", "1"): inc, ("0", "2"): inc})
         rep1 = check_dbpgen(d, "1", "0")
         assert rep1.conclusion_status == "Verified"
-        assert profiles_equal(poset_homology(hocolim(d)), poset_homology(s1))
+        assert poset_homology(hocolim(d)) == poset_homology(s1)
 
     def test_constant_map_not_weak_equivalence(self, two, s1, pt):
         d = new_diagram(two, {"0": s1, "1": pt}, {("0", "1"): constant_map(s1, pt, "pt")})
@@ -384,15 +384,9 @@ class TestGenerators:
 
 class TestSuite:
     def test_run_all_green_and_deterministic(self):
-        reports = run_all(0, counts={t: 2 for t in
-            ("ubp", "maximum", "homotopy", "dbp", "dbpgen", "up-wp",
-             "cofinality", "thomason", "barycentric", "index-contractible",
-             "gamma-index")})
+        reports = [r for t in THEOREMS for r in run_family(t, 2, 0)]
         assert all(r.conclusion_status != "Refuted" for r in reports)
-        again = run_all(0, counts={t: 2 for t in
-            ("ubp", "maximum", "homotopy", "dbp", "dbpgen", "up-wp",
-             "cofinality", "thomason", "barycentric", "index-contractible",
-             "gamma-index")})
+        again = [r for t in THEOREMS for r in run_family(t, 2, 0)]
         blob1 = fio.dumps([r.to_obj() for r in reports])
         blob2 = fio.dumps([r.to_obj() for r in again])
         assert blob1 == blob2
@@ -407,5 +401,6 @@ class TestSuite:
 
     def test_timing_excluded_from_json(self, sphere_diagram):
         rep = check_thomason_roundtrip(sphere_diagram)
-        assert rep.timing > 0
-        assert "timing" not in rep.to_obj()
+        assert set(rep.to_obj()) == {
+            "theorem", "hypothesis_status", "conclusion_status", "evidence"
+        }
