@@ -3,8 +3,9 @@
 Subcommands load posets/complexes/diagrams from JSON files, run the
 constructions, reductions and homology, export DOT figures, and drive the
 theorem-check suite.  Exit codes: 0 on success, 1 if any check was
-Refuted, 2 on malformed input or usage errors.  FINHTOP_BUDGET overrides
-the default search budget.
+Refuted, 2 on malformed input or usage errors, 3 on an internal error (a
+bug in the library; the traceback goes to stderr).  FINHTOP_BUDGET
+overrides the default search budget.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import io
 from .diagram import hocolim, mapping_cylinder, restrict
@@ -185,6 +187,10 @@ def main(argv=None) -> int:
     except (FinhtopError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

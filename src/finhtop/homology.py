@@ -178,12 +178,6 @@ class HomologyProfile:
     def torsion_at(self, k: int) -> tuple[int, ...]:
         return self.torsion[k] if 0 <= k < len(self.torsion) else ()
 
-    def reduced_betti(self) -> tuple[int, ...]:
-        """Betti numbers of reduced homology (components minus one in degree 0)."""
-        if not self.betti:
-            return ()
-        return (self.betti[0] - 1,) + self.betti[1:]
-
     def is_trivial(self) -> bool:
         """Profile of a weakly contractible space: one component, nothing else."""
         return (

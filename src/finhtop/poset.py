@@ -225,11 +225,6 @@ class FinitePoset:
                     heapq.heappush(heap, y)
         return out
 
-    def height_of(self, x: str) -> int:
-        """Length (number of covers) of a longest chain ending at x."""
-        heights = self._heights()
-        return heights[self.index_of(x)]
-
     def _heights(self) -> list[int]:
         h = [0] * len(self.elements)
         for e in self.linear_extension():

@@ -48,12 +48,6 @@ class RemovalSequence:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def __add__(self, other: "RemovalSequence") -> "RemovalSequence":
-        return RemovalSequence(self.steps + other.steps)
-
-    def elements(self) -> list[str]:
-        return [e for e, _ in self.steps]
-
     def to_obj(self) -> list[dict]:
         return [{"element": e, "kind": k} for e, k in self.steps]
 
@@ -84,20 +78,83 @@ class Triviality:
         return {"verdict": self.verdict, "evidence": ev}
 
 
-# -- beat points --------------------------------------------------------------
+# -- the kind test and the replay loop -----------------------------------------
+
+_BEATS = (UP_BEAT, DOWN_BEAT)
+
+
+def holds(
+    p: FinitePoset,
+    x: str,
+    kind: str,
+    budget: int = DEFAULT_BUDGET,
+    gamma_depth: int = DEFAULT_GAMMA_DEPTH,
+) -> bool:
+    """Whether x is removable from p as a point of the given kind right now.
+
+    Beat: x has a unique cover on that side.  Weak: the strict set on that
+    side is nonempty and contractible.  Gamma: the oracle certifies that
+    strict set homotopically trivial; Unknown counts as no.  Empty strict
+    sets never qualify, so minimal points are never down weak or gamma-down.
+    """
+    if kind == UP_BEAT:
+        return len(p.covers_above(x)) == 1
+    if kind == DOWN_BEAT:
+        return len(p.covers_below(x)) == 1
+    if kind not in KINDS:
+        raise ValueError(f"unknown removal kind {kind!r}")
+    side = p.strict_up_set(x) if kind in (UP_WEAK, GAMMA_UP) else p.strict_down_set(x)
+    if side.is_empty():
+        return False
+    if kind in (UP_WEAK, DOWN_WEAK):
+        return is_contractible(side)
+    return triviality_oracle(side, budget, gamma_depth).is_trivial()
 
 
 def is_up_beat(p: FinitePoset, x: str) -> bool:
     """x has a unique cover above, i.e. its strict up-set has a minimum."""
-    return len(p.covers_above(x)) == 1
+    return holds(p, x, UP_BEAT)
 
 
 def is_down_beat(p: FinitePoset, x: str) -> bool:
-    return len(p.covers_below(x)) == 1
+    return holds(p, x, DOWN_BEAT)
 
 
-def is_beat(p: FinitePoset, x: str) -> bool:
-    return is_up_beat(p, x) or is_down_beat(p, x)
+def is_up_weak(p: FinitePoset, x: str) -> bool:
+    return holds(p, x, UP_WEAK)
+
+
+def is_down_weak(p: FinitePoset, x: str) -> bool:
+    return holds(p, x, DOWN_WEAK)
+
+
+def replay(p: FinitePoset, steps, budget: int = DEFAULT_BUDGET):
+    """Remove the (element, kind) steps in order, checking each kind when its
+    element is removed.
+
+    Returns (the poset left, None), or (the poset at the failing step, that
+    step).  Raises UnknownElement when a step's element is not present.
+    """
+    current = p
+    for x, kind in steps:
+        if x not in current:
+            raise UnknownElement(f"removal of {x!r} which is not present")
+        if not holds(current, x, kind, budget):
+            return current, (x, kind)
+        current = current.without(x)
+    return current, None
+
+
+def _removable(p: FinitePoset, kinds, budget=DEFAULT_BUDGET, gamma_depth=DEFAULT_GAMMA_DEPTH):
+    """Yield (x, first of ``kinds`` that holds) for x in linear-extension order."""
+    for x in p.linear_extension():
+        for kind in kinds:
+            if holds(p, x, kind, budget, gamma_depth):
+                yield x, kind
+                break
+
+
+# -- beat points --------------------------------------------------------------
 
 
 def core(p: FinitePoset) -> tuple[FinitePoset, RemovalSequence]:
@@ -110,14 +167,7 @@ def core(p: FinitePoset) -> tuple[FinitePoset, RemovalSequence]:
     steps: list[tuple[str, str]] = []
     current = p
     while len(current) > 1:
-        found = None
-        for x in current.linear_extension():
-            if is_up_beat(current, x):
-                found = (x, UP_BEAT)
-                break
-            if is_down_beat(current, x):
-                found = (x, DOWN_BEAT)
-                break
+        found = next(_removable(current, _BEATS), None)
         if found is None:
             break
         steps.append(found)
@@ -135,44 +185,6 @@ def is_contractible(p: FinitePoset) -> bool:
 # -- weak points --------------------------------------------------------------
 
 
-def is_down_weak(p: FinitePoset, x: str) -> bool:
-    """The strict down-set is nonempty and contractible.
-
-    Empty strict sets are not contractible, so minimal points are never
-    down weak.
-    """
-    down = p.strict_down_set(x)
-    return not down.is_empty() and is_contractible(down)
-
-
-def is_up_weak(p: FinitePoset, x: str) -> bool:
-    up = p.strict_up_set(x)
-    return not up.is_empty() and is_contractible(up)
-
-
-def is_weak(p: FinitePoset, x: str) -> bool:
-    return is_up_weak(p, x) or is_down_weak(p, x)
-
-
-def _weak_candidates(p: FinitePoset) -> list[tuple[str, str]]:
-    # Beat points first so contractible posets come out with all-beat
-    # sequences; then proper weak points.  Both passes scan in
-    # linear-extension order.
-    ext = p.linear_extension()
-    beats: list[tuple[str, str]] = []
-    weaks: list[tuple[str, str]] = []
-    for x in ext:
-        if is_up_beat(p, x):
-            beats.append((x, UP_BEAT))
-        elif is_down_beat(p, x):
-            beats.append((x, DOWN_BEAT))
-        elif is_up_weak(p, x):
-            weaks.append((x, UP_WEAK))
-        elif is_down_weak(p, x):
-            weaks.append((x, DOWN_WEAK))
-    return beats + weaks
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -181,8 +193,10 @@ def collapse_search(p: FinitePoset, budget: int = DEFAULT_BUDGET) -> RemovalSequ
     """Bounded DFS for a sequence of weak-point deletions down to one point.
 
     Greedy deletion can strand, so failed states are memoized and the
-    search backtracks.  Returns None when no sequence was found within the
-    budget (inconclusive).
+    search backtracks.  Candidates are tried beat points first, so that
+    contractible posets come out with all-beat sequences, each group in
+    linear-extension order.  Returns None when no sequence was found within
+    the budget (inconclusive).
     """
     require_nonempty(p)
     dead: set[frozenset[str]] = set()
@@ -198,7 +212,8 @@ def collapse_search(p: FinitePoset, budget: int = DEFAULT_BUDGET) -> RemovalSequ
         visited += 1
         if visited > budget:
             raise _BudgetExhausted
-        for (x, kind) in _weak_candidates(current):
+        candidates = _removable(current, _BEATS + (UP_WEAK, DOWN_WEAK))
+        for (x, kind) in sorted(candidates, key=lambda step: step[1] not in _BEATS):
             rest = dfs(current.without(x))
             if rest is not None:
                 return [(x, kind)] + rest
@@ -229,65 +244,44 @@ def triviality_oracle(
     """
     if p.is_empty():
         return Triviality(NONTRIVIAL, {"empty": True})
-    current, steps_seq = core(p)
-    steps = list(steps_seq.steps)
-    if len(current) == 1:
-        return Triviality(TRIVIAL, {"sequence": RemovalSequence(tuple(steps))})
-    profile = poset_homology(current)
-    if not profile.is_trivial():
-        return Triviality(
-            NONTRIVIAL,
-            {
-                "nonzero_homology": {
-                    "betti": list(profile.betti),
-                    "torsion": [list(t) for t in profile.torsion],
-                }
-            },
-        )
-    while True:
-        collapsed, seq = core(current)
-        steps.extend(seq.steps)
-        current = collapsed
-        if len(current) == 1:
-            return Triviality(TRIVIAL, {"sequence": RemovalSequence(tuple(steps))})
+    current, seq = core(p)
+    steps = list(seq.steps)
+    if len(current) > 1:
+        profile = poset_homology(current)
+        if not profile.is_trivial():
+            return Triviality(
+                NONTRIVIAL,
+                {
+                    "nonzero_homology": {
+                        "betti": list(profile.betti),
+                        "torsion": [list(t) for t in profile.torsion],
+                    }
+                },
+            )
+    # current is a core at the top of every pass.
+    while len(current) > 1:
         found = collapse_search(current, budget)
         if found is not None:
             steps.extend(found.steps)
-            return Triviality(TRIVIAL, {"sequence": RemovalSequence(tuple(steps))})
+            break
         if gamma_depth <= 0:
             return Triviality(UNKNOWN, {"budget": budget, "gamma_depth_exhausted": True})
-        gamma = None
-        for x in current.linear_extension():
-            down = current.strict_down_set(x)
-            if not down.is_empty():
-                sub = triviality_oracle(down, budget, gamma_depth - 1)
-                if sub.is_trivial():
-                    gamma = (x, GAMMA_DOWN)
-                    break
-            up = current.strict_up_set(x)
-            if not up.is_empty():
-                sub = triviality_oracle(up, budget, gamma_depth - 1)
-                if sub.is_trivial():
-                    gamma = (x, GAMMA_UP)
-                    break
+        gamma = next(_removable(current, (GAMMA_DOWN, GAMMA_UP), budget, gamma_depth - 1), None)
         if gamma is None:
             return Triviality(UNKNOWN, {"budget": budget, "no_gamma_point_found": True})
         steps.append(gamma)
-        current = current.without(gamma[0])
+        current, seq = core(current.without(gamma[0]))
+        steps.extend(seq.steps)
+    return Triviality(TRIVIAL, {"sequence": RemovalSequence(tuple(steps))})
 
 
-def is_gamma_point(
-    p: FinitePoset,
-    x: str,
-    budget: int = DEFAULT_BUDGET,
-    gamma_depth: int = DEFAULT_GAMMA_DEPTH,
-) -> Triviality:
+def is_gamma_point(p: FinitePoset, x: str, budget: int = DEFAULT_BUDGET) -> Triviality:
     """Verdict on whether the strict up- or down-set of x is homotopically trivial."""
     p.index_of(x)
-    down = triviality_oracle(p.strict_down_set(x), budget, gamma_depth)
+    down = triviality_oracle(p.strict_down_set(x), budget)
     if down.is_trivial():
         return Triviality(TRIVIAL, {"side": "down", "inner": down.evidence})
-    up = triviality_oracle(p.strict_up_set(x), budget, gamma_depth)
+    up = triviality_oracle(p.strict_up_set(x), budget)
     if up.is_trivial():
         return Triviality(TRIVIAL, {"side": "up", "inner": up.evidence})
     if down.verdict == NONTRIVIAL and up.verdict == NONTRIVIAL:
@@ -296,33 +290,11 @@ def is_gamma_point(
 
 
 def verify_removal_sequence(
-    p: FinitePoset,
-    seq: RemovalSequence,
-    budget: int = DEFAULT_BUDGET,
-    gamma_depth: int = DEFAULT_GAMMA_DEPTH,
+    p: FinitePoset, seq: RemovalSequence, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Replay the sequence, checking the claimed kind at every removal time.
 
     Gamma kinds are checked with the triviality oracle; an Unknown verdict
     fails the verification (the claim cannot be certified).
     """
-    current = p
-    for (x, kind) in seq.steps:
-        if x not in current:
-            raise UnknownElement(f"removal of {x!r} which is not present")
-        if kind == UP_BEAT:
-            ok = is_up_beat(current, x)
-        elif kind == DOWN_BEAT:
-            ok = is_down_beat(current, x)
-        elif kind == UP_WEAK:
-            ok = is_up_weak(current, x)
-        elif kind == DOWN_WEAK:
-            ok = is_down_weak(current, x)
-        elif kind == GAMMA_UP:
-            ok = triviality_oracle(current.strict_up_set(x), budget, gamma_depth).is_trivial()
-        else:
-            ok = triviality_oracle(current.strict_down_set(x), budget, gamma_depth).is_trivial()
-        if not ok:
-            return False
-        current = current.without(x)
-    return True
+    return replay(p, seq.steps, budget)[1] is None

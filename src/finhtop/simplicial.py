@@ -83,9 +83,6 @@ class SimplicialComplex:
             self._simplices = by_dim
         return self._simplices
 
-    def simplex_count(self) -> int:
-        return sum(len(b) for b in self.simplices_by_dim())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented

@@ -38,9 +38,8 @@ from ..reduction import (
     RemovalSequence,
     core,
     is_contractible,
-    is_down_beat,
-    is_down_weak,
     is_up_beat,
+    replay,
     triviality_oracle,
 )
 from ..simplicial import (
@@ -76,20 +75,10 @@ def _oracle_hypothesis(theorem: str, poset: FinitePoset, budget: int, what: str)
 # -- up beat points ------------------------------------------------------------
 
 
-def _remove_fiber_up_beats(current: FinitePoset, d: Diagram, p: str):
-    """Delete the fiber over p point by point, most of X_p^op first.
-
-    Returns (steps, remaining poset) or (None, failing element); every
-    deleted point must be an up beat point at the moment of its removal.
-    """
-    steps = []
-    for x in d.fibers[p].opposite().linear_extension():
-        name = hocolim_name(p, x)
-        if not is_up_beat(current, name):
-            return None, name
-        steps.append((name, UP_BEAT))
-        current = current.without(name)
-    return (steps, current), None
+def _fiber_steps(fiber: FinitePoset, p: str, kind: str) -> list[tuple[str, str]]:
+    """Removal steps for the points over p of the hocolim, in the linear
+    extension order of ``fiber`` (X_p, or X_p^op to go from the top down)."""
+    return [(hocolim_name(p, x), kind) for x in fiber.linear_extension()]
 
 
 def _conclude_point_removal(theorem, d: Diagram, p: str, full, remainder, steps, bundle):
@@ -120,11 +109,11 @@ def check_ubp(d: Diagram, p: str) -> CheckReport:
     if not is_up_beat(d.index, p):
         return skipped("ubp", NOT_ESTABLISHED, f"{p!r} is not an up beat point of the index")
     full = hocolim(d)
-    result, failing = _remove_fiber_up_beats(full, d, p)
-    bundle = {"diagram": io.diagram_to_obj(d), "point": p}
-    if result is None:
-        return refuted("ubp", {"failing_element": failing}, bundle)
-    steps, remainder = result
+    steps = _fiber_steps(d.fibers[p].opposite(), p, UP_BEAT)
+    remainder, failed = replay(full, steps)
+    bundle = {"diagram": d, "point": p}
+    if failed:
+        return refuted("ubp", {"failing_element": failed[0]}, bundle)
     return _conclude_point_removal("ubp", d, p, full, remainder, steps, bundle)
 
 
@@ -134,7 +123,7 @@ def check_maximum(d: Diagram) -> CheckReport:
     if p is None:
         return skipped("maximum", NOT_ESTABLISHED, "index has no maximum element")
     full = hocolim(d)
-    bundle = {"diagram": io.diagram_to_obj(d)}
+    bundle = {"diagram": d}
     order = d.index.opposite().linear_extension()
     # The maximum is the unique minimum of the opposite, hence listed first.
     if order[0] != p:
@@ -147,10 +136,10 @@ def check_maximum(d: Diagram) -> CheckReport:
     for pi in order[1:]:
         if not is_up_beat(current_d.index, pi):
             return refuted("maximum", {"failing_index_point": pi}, bundle)
-        result, failing = _remove_fiber_up_beats(current, current_d, pi)
-        if result is None:
-            return refuted("maximum", {"failing_element": failing}, bundle)
-        fiber_steps, current = result
+        fiber_steps = _fiber_steps(current_d.fibers[pi].opposite(), pi, UP_BEAT)
+        current, failed = replay(current, fiber_steps)
+        if failed:
+            return refuted("maximum", {"failing_element": failed[0]}, bundle)
         steps.extend(fiber_steps)
         current_d = restrict(current_d, [e for e in current_d.index.elements if e != pi])
         if current != hocolim(current_d):
@@ -205,7 +194,7 @@ def check_homotopy_lemma(alpha: DiagramMorphism) -> CheckReport:
         "profile_target": io.profile_to_obj(pb),
     }
     if pa != pb:
-        return refuted("homotopy", evidence, io.morphism_to_obj(alpha))
+        return refuted("homotopy", evidence, alpha)
     return verified("homotopy", evidence)
 
 
@@ -215,7 +204,7 @@ def check_homotopy_lemma(alpha: DiagramMorphism) -> CheckReport:
 def _down_beat_dominated(index: FinitePoset, p: str, q: str) -> bool:
     index.index_of(p)
     index.index_of(q)
-    return is_down_beat(index, p) and index.covers_below(p) == [q]
+    return index.covers_below(p) == [q]
 
 
 def check_dbp(d: Diagram, p: str, q: str) -> CheckReport:
@@ -237,16 +226,12 @@ def check_dbp(d: Diagram, p: str, q: str) -> CheckReport:
                 f"preimage of the basic open set at {x!r} is not contractible",
             )
     full = hocolim(d)
-    bundle = {"diagram": io.diagram_to_obj(d), "point": p, "dominator": q}
-    steps = []
-    current = full
-    for x in fiber_p.linear_extension():
-        name = hocolim_name(p, x)
-        if not is_down_weak(current, name):
-            return refuted("dbp", {"failing_element": name}, bundle)
-        steps.append((name, DOWN_WEAK))
-        current = current.without(name)
-    return _conclude_point_removal("dbp", d, p, full, current, steps, bundle)
+    steps = _fiber_steps(fiber_p, p, DOWN_WEAK)
+    remainder, failed = replay(full, steps)
+    bundle = {"diagram": d, "point": p, "dominator": q}
+    if failed:
+        return refuted("dbp", {"failing_element": failed[0]}, bundle)
+    return _conclude_point_removal("dbp", d, p, full, remainder, steps, bundle)
 
 
 def check_dbpgen(d: Diagram, p: str, q: str) -> CheckReport:
@@ -269,7 +254,7 @@ def check_dbpgen(d: Diagram, p: str, q: str) -> CheckReport:
             f"fiber profiles at {q!r} and {p!r} differ",
             {"evidence_regime": NECESSARY_CONDITION},
         )
-    bundle = {"diagram": io.diagram_to_obj(d), "point": p, "dominator": q}
+    bundle = {"diagram": d, "point": p, "dominator": q}
     # The retraction sending p to its dominator, composed with the inclusion.
     ir = PosetMap(
         d.index, d.index, {x: (q if x == p else x) for x in d.index.elements}
@@ -303,21 +288,17 @@ def check_up_wp(d: Diagram, p: str, budget: int = DEFAULT_BUDGET) -> CheckReport
     if skip:
         return skip
     full = hocolim(d)
-    bundle = {"diagram": io.diagram_to_obj(d), "point": p}
-    steps = []
-    current = full
-    for x in d.fibers[p].opposite().linear_extension():
-        name = hocolim_name(p, x)
-        v = triviality_oracle(current.strict_up_set(name), budget)
-        if v.verdict == NONTRIVIAL:
-            return refuted("up-wp", {"failing_element": name, "oracle": v.to_obj()}, bundle)
+    steps = _fiber_steps(d.fibers[p].opposite(), p, GAMMA_UP)
+    remainder, failed = replay(full, steps, budget)
+    bundle = {"diagram": d, "point": p}
+    if failed:
+        # Rerun the oracle on the failing step alone to tell NonTrivial from Unknown.
+        name = failed[0]
+        v = triviality_oracle(remainder.strict_up_set(name), budget)
         if v.verdict == UNKNOWN:
-            return skipped(
-                "up-wp", ORACLE_UNKNOWN, f"oracle undecided at removal of {name!r}"
-            )
-        steps.append((name, GAMMA_UP))
-        current = current.without(name)
-    return _conclude_point_removal("up-wp", d, p, full, current, steps, bundle)
+            return skipped("up-wp", ORACLE_UNKNOWN, f"oracle undecided at removal of {name!r}")
+        return refuted("up-wp", {"failing_element": name, "oracle": v.to_obj()}, bundle)
+    return _conclude_point_removal("up-wp", d, p, full, remainder, steps, bundle)
 
 
 # -- cofinality -------------------------------------------------------------------
@@ -377,7 +358,7 @@ def check_cofinality(phi: PosetMap, d: Diagram, budget: int = DEFAULT_BUDGET) ->
         _, skip = _oracle_hypothesis("cofinality", pre, budget, f"preimage of F_{q!r}")
         if skip:
             return skip
-    bundle = {"map": io.map_to_obj(phi), "diagram": io.diagram_to_obj(d)}
+    bundle = {"map": phi, "diagram": d}
     pa = poset_homology(hocolim(pullback(phi, d)))
     pb = poset_homology(hocolim(d))
     evidence: dict = {
@@ -448,7 +429,7 @@ def check_thomason_roundtrip(d: Diagram) -> CheckReport:
         "profile_roundtrip": io.profile_to_obj(pb),
     }
     if pa != pb:
-        return refuted("thomason", evidence, {"diagram": io.diagram_to_obj(d)})
+        return refuted("thomason", evidence, {"diagram": d})
     return verified("thomason", evidence)
 
 
@@ -466,7 +447,7 @@ def check_barycentric(c: Diagram) -> CheckReport:
         "profile_subdivided": io.profile_to_obj(pb),
         "fiber_euler_characteristics": chi,
     }
-    bundle = {"diagram": io.diagram_to_obj(c)}
+    bundle = {"diagram": c}
     if any(a != b for a, b in chi.values()) or pa != pb:
         return refuted("barycentric", evidence, bundle)
     return verified("barycentric", evidence)
@@ -489,7 +470,7 @@ def check_index_contractible(c: Diagram) -> CheckReport:
                 f"fiber profiles differ along the cover {p!r} -> {q!r}",
                 {"evidence_regime": NECESSARY_CONDITION},
             )
-    bundle = {"diagram": io.diagram_to_obj(c)}
+    bundle = {"diagram": c}
     target = poset_homology(hocolim(lift_face_poset_op(c)))
     evidence: dict = {
         "evidence_regime": NECESSARY_CONDITION,
@@ -527,14 +508,16 @@ def check_gamma_index(c: Diagram, budget: int = DEFAULT_BUDGET) -> CheckReport:
     if skip:
         return skip
     seq: RemovalSequence = verdict.evidence["sequence"]
-    bundle = {"diagram": io.diagram_to_obj(c)}
-    current = c
+    bundle = {"diagram": c}
+    # By functoriality the restricted diagram's transitions are c's own, so
+    # only the index shrinks.
+    index = c.index
     for (x, kind) in seq.steps:
         if kind in (DOWN_BEAT, DOWN_WEAK, GAMMA_DOWN):
-            for q in current.index.elements:
-                if not current.index.lt(q, x):
+            for q in index.elements:
+                if not index.lt(q, x):
                     continue
-                fop = face_poset_map_op(current.transitions[(q, x)])
+                fop = face_poset_map_op(c.transitions[(q, x)])
                 for sigma in fop.target.elements:
                     pre = preimage_poset(fop, sigma)
                     v = triviality_oracle(pre, budget)
@@ -550,8 +533,8 @@ def check_gamma_index(c: Diagram, budget: int = DEFAULT_BUDGET) -> CheckReport:
                             ORACLE_UNKNOWN,
                             f"oracle undecided for transition {q!r} -> {x!r} at {sigma!r}",
                         )
-        current = restrict(current, [e for e in current.index.elements if e != x])
-    last = current.index.elements[0]
+        index = index.without(x)
+    last = index.elements[0]
     pa = poset_homology(hocolim(lift_face_poset_op(c)))
     pb = homology_profile(c.fibers[last])
     evidence = {

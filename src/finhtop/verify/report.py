@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import io
+from ..diagram import Diagram, DiagramMorphism
+from ..poset import PosetMap
+
 ESTABLISHED = "Established"
 NOT_ESTABLISHED = "NotEstablished"
 ORACLE_UNKNOWN = "OracleUnknown"
@@ -77,9 +81,25 @@ def verified(theorem: str, evidence: dict) -> CheckReport:
     )
 
 
-def refuted(theorem: str, evidence: dict, bundle: dict) -> CheckReport:
+def _serialized(value):
+    """A checker input, or a dict of them, as JSON data; plain values pass
+    through.  The io serializers are looked up at call time, so a rebinding
+    there (to trace them) is the one that runs."""
+    if isinstance(value, dict):
+        return {k: _serialized(v) for k, v in value.items()}
+    if isinstance(value, DiagramMorphism):
+        return io.morphism_to_obj(value)
+    if isinstance(value, Diagram):
+        return io.diagram_to_obj(value)
+    if isinstance(value, PosetMap):
+        return io.map_to_obj(value)
+    return value
+
+
+def refuted(theorem: str, evidence: dict, bundle) -> CheckReport:
+    """A refutation carrying the checker's inputs, serialized only now."""
     ev = dict(evidence)
-    ev["counterexample"] = bundle
+    ev["counterexample"] = _serialized(bundle)
     return CheckReport(
         theorem=theorem,
         hypothesis_status=ESTABLISHED,

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import finhtop
 from finhtop import DiagramError, chain, constant_map, identity, new_poset
 from finhtop import io as fio
 from finhtop.cli import main
@@ -266,6 +267,31 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "true"
+
+    def test_internal_error_exits_three(self, files):
+        # A broken invariant is a library bug: neither "Refuted" (1) nor bad input (2).
+        code = (
+            "import sys\n"
+            "import finhtop.homology as h\n"
+            "from finhtop import cli\n"
+            "assert False, 'asserts are on'\n"
+            "real = h.euler_characteristic\n"
+            "h.euler_characteristic = lambda k: real(k) + 1\n"
+            "sys.exit(cli.main(['complex', 'homology', sys.argv[1]]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(finhtop.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code, str(files["tri"])],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("internal error:")
+        assert "Traceback" in proc.stderr
+        assert "invariant broken: Betti numbers disagree" in proc.stderr
 
 
 def _instance_input(theorem: str, instance):

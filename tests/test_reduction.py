@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from finhtop import EmptyPoset, chain, new_poset, product
@@ -7,7 +8,9 @@ from finhtop.homology import poset_homology
 from finhtop.reduction import (
     RemovalSequence,
     collapse_search,
+    KINDS,
     core,
+    holds,
     is_contractible,
     is_down_beat,
     is_down_weak,
@@ -19,7 +22,7 @@ from finhtop.reduction import (
 )
 from finhtop.simplicial import face_poset, new_complex
 from finhtop.verify.randgen import random_poset
-from finhtop.verify.suite import w_poset
+from finhtop.verify.suite import circle_poset, w_poset
 
 
 def shuffled_dismantle(p, rng):
@@ -276,3 +279,60 @@ class TestHomologyPreservation:
 
     def test_product_with_chain_preserves_profile(self, s1):
         assert poset_homology(product(s1, chain(2))) == poset_homology(s1)
+
+
+def _covers(strict):
+    """The Hasse relation of a strict order given as a boolean matrix."""
+    s = strict.astype(np.int64)
+    return strict & ~((s @ s) > 0)
+
+
+def _dismantles(strict, keep):
+    """Whether the subposet on ``keep`` beat-dismantles to one point; any
+    order of beat removals reaches the same core up to isomorphism."""
+    keep = list(keep)
+    while len(keep) > 1:
+        cov = _covers(strict[np.ix_(keep, keep)])
+        beats = np.flatnonzero((cov.sum(axis=1) == 1) | (cov.sum(axis=0) == 1))
+        if not beats.size:
+            return False
+        del keep[beats[0]]
+    return len(keep) == 1
+
+
+def independent_kinds(p):
+    """The beat and weak kinds of every element, from the closure matrix alone."""
+    n = len(p)
+    strict = p.closure_matrix() & ~np.eye(n, dtype=bool)
+    cov = _covers(strict)
+    out = {}
+    for i, x in enumerate(p.elements):
+        above, below = np.flatnonzero(strict[i]), np.flatnonzero(strict[:, i])
+        out[x] = {
+            "up-beat": cov[i].sum() == 1,
+            "down-beat": cov[:, i].sum() == 1,
+            "up-weak": above.size > 0 and _dismantles(strict, above),
+            "down-weak": below.size > 0 and _dismantles(strict, below),
+        }
+    return out
+
+
+class TestKindTestDifferential:
+    """holds() against an implementation that shares none of its code."""
+
+    POSETS = [
+        (f"random{k}", lambda k=k: random_poset(1 + k % 12, (0.2, 0.35, 0.5)[k % 3], 3100 + k))
+        for k in range(200)
+    ] + [("W", w_poset), ("circle", circle_poset)]
+
+    def test_beat_and_weak_kinds_agree(self):
+        for label, make in self.POSETS:
+            p = make()
+            for x, expected in independent_kinds(p).items():
+                for kind, value in expected.items():
+                    assert holds(p, x, kind) == value, (label, x, kind)
+
+    def test_unknown_kind_raises(self, s1):
+        assert "sideways" not in KINDS
+        with pytest.raises(ValueError):
+            holds(s1, "a", "sideways")
