@@ -21,7 +21,6 @@ from .errors import (
     MissingFiber,
     MissingTransition,
     NaturalityError,
-    UnknownElement,
 )
 from .poset import NAMESPACE_SEP, FinitePoset, PosetMap, compose, identity, new_poset
 
@@ -38,7 +37,7 @@ def synthesize_transitions(
     p <= z < q must yield the same composite; the offending triple is
     reported otherwise.
     """
-    covers = set(index.covers)
+    covers = index.covers
     for key in cover_maps:
         if key not in covers:
             raise FunctorialityError(
@@ -116,21 +115,6 @@ class Diagram:
             identity_of=lambda p: identity(fibers[p]),
             compose_maps=compose,
         )
-
-    def fiber(self, p: str):
-        try:
-            return self.fibers[p]
-        except KeyError:
-            raise UnknownElement(f"{p!r} is not an index element") from None
-
-    def transition(self, p: str, q: str):
-        try:
-            return self.transitions[(p, q)]
-        except KeyError:
-            raise UnknownElement(f"no relation {p!r} <= {q!r} in the index") from None
-
-    def cover_transitions(self) -> dict[tuple[str, str], object]:
-        return {pq: self.transitions[pq] for pq in self.index.covers}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
@@ -263,6 +247,3 @@ class DiagramMorphism:
         self.source = source
         self.target = target
         self.components = dict(components)
-
-    def component(self, p: str):
-        return self.components[p]

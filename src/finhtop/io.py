@@ -171,10 +171,6 @@ def profile_to_obj(h: HomologyProfile) -> dict:
     }
 
 
-def profile_from_obj(obj) -> HomologyProfile:
-    return HomologyProfile.make(obj["betti"], [tuple(t) for t in obj["torsion"]])
-
-
 # -- text/bytes -----------------------------------------------------------------
 
 

@@ -2,15 +2,14 @@
 
 A finite poset is handled as a finite T0 space whose open sets are the
 down-sets; a function between posets is continuous iff it is order
-preserving.  Elements are opaque strings.  The cover relation is stored
-explicitly and the full reachability relation is cached as a dense boolean
-matrix, so every ``leq`` query is a single lookup.
+preserving.  Elements are opaque strings.  The order is stored once, as a
+dense boolean closure matrix, so every ``leq`` query is a single lookup;
+the Hasse diagram is derived from it once, as per-element cover lists.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,22 +31,30 @@ NAMESPACE_SEP = "::"
 class FinitePoset:
     """Immutable finite poset.
 
-    ``elements`` is an ordered tuple of distinct identifiers, ``covers`` the
-    Hasse relation as a frozenset of (lower, upper) pairs, and the cached
-    closure matrix answers reachability.  Values are safe to share across
-    threads; no operation mutates its inputs.
+    ``elements`` is an ordered tuple of distinct identifiers and the cached
+    closure matrix answers reachability.  ``from_closure`` derives the Hasse
+    diagram as up and down lists of element indices, in stored element
+    order; ``covers`` is the same relation as a frozenset of (lower, upper)
+    name pairs.  Values are safe to share across threads; no operation
+    mutates its inputs.
     """
 
-    __slots__ = ("elements", "covers", "_index", "_leq", "_hash")
+    __slots__ = ("elements", "_index", "_leq", "_up", "_down", "_covers", "_hash")
 
-    def __init__(self, elements, covers, leq_matrix):
-        # Internal constructor: trusts its arguments.  Use new_poset() or the
-        # classmethods below to build validated instances.
+    def __init__(self, elements, leq_matrix, up):
+        # Internal constructor: trusts its arguments, and ``up[i]`` lists the
+        # indices covering element i in increasing order.  Use new_poset() or
+        # from_closure() to build validated instances.
         self.elements: tuple[str, ...] = tuple(elements)
-        self.covers: frozenset[tuple[str, str]] = frozenset(covers)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._leq = leq_matrix
         self._leq.flags.writeable = False
+        self._up = up
+        self._down = [[] for _ in up]
+        for i, ups in enumerate(up):
+            for j in ups:
+                self._down[j].append(i)
+        self._covers = None
         self._hash = None
 
     # -- construction -----------------------------------------------------
@@ -56,14 +63,13 @@ class FinitePoset:
     def from_closure(cls, elements: Sequence[str], leq: np.ndarray) -> "FinitePoset":
         """Build from a reflexive-transitive-antisymmetric boolean matrix.
 
-        Covers are recovered by transitive reduction.  Antisymmetry and
-        transitivity of ``leq`` are validated.
+        Covers are recovered by transitive reduction.  Reflexivity,
+        antisymmetry and transitivity of ``leq`` are validated.
         """
         n = len(elements)
+        leq = np.array(leq, dtype=bool)
         if leq.shape != (n, n):
             raise ValueError("closure matrix shape does not match element count")
-        if n == 0:
-            return cls((), frozenset(), np.zeros((0, 0), dtype=bool))
         if not leq.diagonal().all():
             raise ValueError("closure must be reflexive")
         both = leq & leq.T
@@ -75,11 +81,11 @@ class FinitePoset:
         two = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0
         if (two & ~strict).any():
             raise ValueError("closure is not transitive")
-        cover_mask = strict & ~two
-        covers = {
-            (elements[i], elements[j]) for i, j in np.argwhere(cover_mask)
-        }
-        return cls(elements, covers, leq.copy())
+        up: list[list[int]] = [[] for _ in range(n)]
+        rows, cols = np.nonzero(strict & ~two)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            up[i].append(j)
+        return cls(elements, leq, up)
 
     # -- basics ------------------------------------------------------------
 
@@ -92,15 +98,15 @@ class FinitePoset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        return self.elements == other.elements and self.covers == other.covers
+        return self.elements == other.elements and np.array_equal(self._leq, other._leq)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.elements, self.covers))
+            self._hash = hash((self.elements, self._leq.tobytes()))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"FinitePoset({len(self.elements)} elements, {len(self.covers)} covers)"
+        return f"FinitePoset({len(self.elements)} elements, {sum(map(len, self._up))} covers)"
 
     def is_empty(self) -> bool:
         return not self.elements
@@ -124,24 +130,28 @@ class FinitePoset:
 
     # -- cover-relation views ----------------------------------------------
 
+    @property
+    def covers(self) -> frozenset[tuple[str, str]]:
+        """The Hasse relation as (lower, upper) pairs, built on first read."""
+        if self._covers is None:
+            els = self.elements
+            self._covers = frozenset(
+                (els[i], els[j]) for i, ups in enumerate(self._up) for j in ups
+            )
+        return self._covers
+
     def covers_above(self, x: str) -> list[str]:
         """Elements covering x, in stored element order."""
-        self.index_of(x)
-        ups = {b for (a, b) in self.covers if a == x}
-        return [e for e in self.elements if e in ups]
+        return [self.elements[j] for j in self._up[self.index_of(x)]]
 
     def covers_below(self, x: str) -> list[str]:
-        self.index_of(x)
-        dns = {a for (a, b) in self.covers if b == x}
-        return [e for e in self.elements if e in dns]
+        return [self.elements[j] for j in self._down[self.index_of(x)]]
 
     def maximal_elements(self) -> list[str]:
-        tails = {a for (a, _) in self.covers}
-        return [e for e in self.elements if e not in tails]
+        return [e for e, ups in zip(self.elements, self._up) if not ups]
 
     def minimal_elements(self) -> list[str]:
-        heads = {b for (_, b) in self.covers}
-        return [e for e in self.elements if e not in heads]
+        return [e for e, dns in zip(self.elements, self._down) if not dns]
 
     def maximum(self) -> str | None:
         """The greatest element if one exists, else None."""
@@ -160,14 +170,10 @@ class FinitePoset:
 
     def subposet(self, keep: Iterable[str]) -> "FinitePoset":
         """Full induced subposet on ``keep``, in this poset's element order."""
-        keep_set = set()
-        for x in keep:
-            self.index_of(x)
-            keep_set.add(x)
-        idx = [self._index[e] for e in self.elements if e in keep_set]
-        sub_elements = [self.elements[i] for i in idx]
-        sub_leq = self._leq[np.ix_(idx, idx)]
-        return FinitePoset.from_closure(sub_elements, sub_leq.copy())
+        idx = sorted({self.index_of(x) for x in keep})
+        return FinitePoset.from_closure(
+            [self.elements[i] for i in idx], self._leq[np.ix_(idx, idx)]
+        )
 
     def without(self, x: str) -> "FinitePoset":
         self.index_of(x)
@@ -199,8 +205,7 @@ class FinitePoset:
 
     def opposite(self) -> "FinitePoset":
         """Same elements with the order reversed; an involution."""
-        covers = {(b, a) for (a, b) in self.covers}
-        return FinitePoset(self.elements, covers, self._leq.T.copy())
+        return FinitePoset(self.elements, self._leq.T.copy(), self._down)
 
     def linear_extension(self) -> list[str]:
         """Deterministic topological order.
@@ -208,21 +213,17 @@ class FinitePoset:
         Kahn's algorithm drawing the lexicographically smallest available
         identifier, so equal inputs give byte-identical output.
         """
-        succ = defaultdict(list)
-        indeg = {e: 0 for e in self.elements}
-        for (a, b) in self.covers:
-            succ[a].append(b)
-            indeg[b] += 1
-        heap = [e for e in self.elements if indeg[e] == 0]
+        indeg = [len(dns) for dns in self._down]
+        heap = [e for e, k in zip(self.elements, indeg) if k == 0]
         heapq.heapify(heap)
         out = []
         while heap:
             x = heapq.heappop(heap)
             out.append(x)
-            for y in succ[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    heapq.heappush(heap, y)
+            for j in self._up[self._index[x]]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    heapq.heappush(heap, self.elements[j])
         return out
 
     def _heights(self) -> list[int]:
@@ -328,15 +329,7 @@ def antichain(n: int, prefix: str = "a") -> FinitePoset:
 def product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     """Product order; element (x, y) is named "(x,y)"."""
     elements = [f"({x},{y})" for x in p.elements for y in q.elements]
-    leq = np.kron(p.closure_matrix(), q.closure_matrix())
-    covers = set()
-    for x in p.elements:
-        for y in q.elements:
-            for y2 in q.covers_above(y):
-                covers.add((f"({x},{y})", f"({x},{y2})"))
-            for x2 in p.covers_above(x):
-                covers.add((f"({x},{y})", f"({x2},{y})"))
-    return FinitePoset(elements, covers, leq.astype(bool))
+    return FinitePoset.from_closure(elements, np.kron(p.closure_matrix(), q.closure_matrix()))
 
 
 class PosetMap:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .diagram import Diagram, new_diagram
 from .errors import DomainMismatch, EmptyComplex, NotSimplicial, UnknownElement
-from .poset import FinitePoset, PosetMap, require_nonempty
+from .poset import FinitePoset, PosetMap, preimage, require_nonempty
 
 
 class SimplicialComplex:
@@ -163,21 +163,16 @@ def compose_simplicial(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
 
 
 def _maximal_chains(p: FinitePoset) -> list[tuple[str, ...]]:
-    above = {x: p.covers_above(x) for x in p.elements}
+    # An explicit stack of partial chains, so depth does not grow with p.
     chains: list[tuple[str, ...]] = []
-
-    def grow(chain: list[str]) -> None:
-        ups = above[chain[-1]]
-        if not ups:
-            chains.append(tuple(chain))
-            return
-        for y in ups:
-            chain.append(y)
-            grow(chain)
-            chain.pop()
-
-    for x in p.minimal_elements():
-        grow([x])
+    stack = [(x,) for x in p.minimal_elements()]
+    while stack:
+        chain = stack.pop()
+        ups = p.covers_above(chain[-1])
+        if ups:
+            stack.extend(chain + (y,) for y in ups)
+        else:
+            chains.append(chain)
     return chains
 
 
@@ -258,9 +253,7 @@ def preimage_poset(fop: PosetMap, sigma: str) -> FinitePoset:
     Concretely: all simplices of the source complex whose image contains
     sigma, in reverse-inclusion order.  May be empty.
     """
-    fop.target.index_of(sigma)
-    down = fop.target.down_set(sigma)
-    return fop.source.subposet(x for x in fop.source.elements if fop(x) in down)
+    return preimage(fop, fop.target.down_set(sigma).elements)
 
 
 # -- diagrams of complexes ----------------------------------------------------

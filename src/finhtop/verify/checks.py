@@ -25,7 +25,7 @@ from ..diagram import (
 )
 from ..errors import DomainMismatch
 from ..homology import euler_characteristic, homology_profile, poset_homology
-from ..poset import FinitePoset, PosetMap
+from ..poset import FinitePoset, PosetMap, preimage
 from ..reduction import (
     DEFAULT_BUDGET,
     DOWN_BEAT,
@@ -216,9 +216,7 @@ def check_dbp(d: Diagram, p: str, q: str) -> CheckReport:
     f = d.transitions[(q, p)]
     fiber_p = d.fibers[p]
     for x in fiber_p.elements:
-        pre = f.source.subposet(
-            z for z in f.source.elements if fiber_p.leq(f(z), x)
-        )
+        pre = preimage(f, fiber_p.down_set(x).elements)
         if pre.is_empty() or not is_contractible(pre):
             return skipped(
                 "dbp",
@@ -305,23 +303,18 @@ def check_up_wp(d: Diagram, p: str, budget: int = DEFAULT_BUDGET) -> CheckReport
 
 
 def _mixed_poset(phi: PosetMap) -> FinitePoset:
-    """The poset on Q + P gluing q below p when q <= phi(p') for some p' <= p."""
+    """The poset on Q + P gluing q below p when q <= phi(p') for some p' <= p.
+
+    phi is monotone, so that holds exactly when q <= phi(p).
+    """
     q_poset, p_poset = phi.target, phi.source
     nq, np_ = len(q_poset), len(p_poset)
     names = [f"Q::{q}" for q in q_poset.elements] + [f"P::{p}" for p in p_poset.elements]
     leq = np.zeros((nq + np_, nq + np_), dtype=bool)
     leq[:nq, :nq] = q_poset.closure_matrix()
     leq[nq:, nq:] = p_poset.closure_matrix()
-    for j, p in enumerate(p_poset.elements):
-        below = [
-            q_poset.index_of(phi(p2))
-            for p2 in p_poset.elements
-            if p_poset.leq(p2, p)
-        ]
-        mask = np.zeros(nq, dtype=bool)
-        for b in below:
-            mask |= q_poset.closure_matrix()[:, b]
-        leq[:nq, nq + j] = mask
+    images = [q_poset.index_of(phi(p)) for p in p_poset.elements]
+    leq[:nq, nq:] = q_poset.closure_matrix()[:, images]
     return FinitePoset.from_closure(names, leq)
 
 
@@ -351,11 +344,10 @@ def check_cofinality(phi: PosetMap, d: Diagram, budget: int = DEFAULT_BUDGET) ->
     if phi.target != d.index:
         raise DomainMismatch("check_cofinality requires phi.target == diagram index")
     q_poset, p_poset = phi.target, phi.source
+    pres = {}
     for q in q_poset.elements:
-        pre = p_poset.subposet(
-            x for x in p_poset.elements if q_poset.leq(q, phi(x))
-        )
-        _, skip = _oracle_hypothesis("cofinality", pre, budget, f"preimage of F_{q!r}")
+        pres[q] = preimage(phi, q_poset.up_set(q).elements)
+        _, skip = _oracle_hypothesis("cofinality", pres[q], budget, f"preimage of F_{q!r}")
         if skip:
             return skip
     bundle = {"map": phi, "diagram": d}
@@ -375,7 +367,7 @@ def check_cofinality(phi: PosetMap, d: Diagram, budget: int = DEFAULT_BUDGET) ->
     for qj in q_poset.opposite().linear_extension():
         name = f"Q::{qj}"
         above = current.strict_up_set(name)
-        expected = {f"P::{x}" for x in p_poset.elements if q_poset.leq(qj, phi(x))}
+        expected = {f"P::{x}" for x in pres[qj].elements}
         if set(above.elements) != expected:
             return refuted(
                 "cofinality",

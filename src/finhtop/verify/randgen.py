@@ -31,9 +31,9 @@ def _random_poset(rng: random.Random, n: int, density: float, prefix: str) -> Fi
     return new_poset(els, rels)
 
 
-def random_poset(n: int, density: float, seed, prefix: str = "x") -> FinitePoset:
-    """Random poset on n elements; density 0 gives an antichain, 1 a chain."""
-    return _random_poset(random.Random(seed), n, density, prefix)
+def random_poset(n: int, density: float, seed) -> FinitePoset:
+    """Random poset on elements x0..x{n-1}; density 0 gives an antichain, 1 a chain."""
+    return _random_poset(random.Random(seed), n, density, "x")
 
 
 def random_monotone_map(p: FinitePoset, q: FinitePoset, rng: random.Random) -> PosetMap:
@@ -61,13 +61,6 @@ def random_monotone_map(p: FinitePoset, q: FinitePoset, rng: random.Random) -> P
     if not backtrack(0):
         raise AssertionError("monotone map search failed; this cannot happen")
     return PosetMap(p, q, assign)
-
-
-def random_poset_map(source_size: int, target_size: int, seed, density: float = 0.5) -> PosetMap:
-    rng = random.Random(seed)
-    p = _random_poset(rng, source_size, density, "s")
-    q = _random_poset(rng, target_size, density, "t")
-    return random_monotone_map(p, q, rng)
 
 
 def draw_along_extension(index: FinitePoset, draw_fiber, draw_step, compose_step):
@@ -105,33 +98,33 @@ def _random_diagram_over(
     return new_diagram(index, fibers, maps)
 
 
-def random_diagram(index_size: int, fiber_size: int, seed, density: float = 0.5) -> Diagram:
+def random_diagram(index_size: int, fiber_size: int, seed) -> Diagram:
     """Random diagram; fibers have 1..fiber_size points."""
     rng = random.Random(seed)
-    index = _random_poset(rng, index_size, density, "p")
-    return _random_diagram_over(rng, index, fiber_size, density)
+    index = _random_poset(rng, index_size, 0.5, "p")
+    return _random_diagram_over(rng, index, fiber_size, 0.5)
 
 
-def _random_complex(rng: random.Random, v: int, density: float = 0.35) -> SimplicialComplex:
+def _random_complex(rng: random.Random, v: int) -> SimplicialComplex:
     verts = [f"v{i}" for i in range(v)]
     facets = []
     for size in (2, 3):
         for combo in combinations(verts, size):
-            if rng.random() < density:
+            if rng.random() < 0.35:
                 facets.append(list(combo))
     return SimplicialComplex(verts, facets)
 
 
-def random_complex(v: int, seed, density: float = 0.35) -> SimplicialComplex:
+def random_complex(v: int, seed) -> SimplicialComplex:
     """Random complex on v vertices; dimension kept at most 2."""
-    return _random_complex(random.Random(seed), v, density)
+    return _random_complex(random.Random(seed), v)
 
 
 def random_simplicial_map(
-    k: SimplicialComplex, l: SimplicialComplex, rng: random.Random, attempts: int = 40
+    k: SimplicialComplex, l: SimplicialComplex, rng: random.Random
 ) -> SimplicialMap:
-    """Random vertex map validated to be simplicial; falls back to a constant map."""
-    for _ in range(attempts):
+    """Random vertex map validated to be simplicial; a constant map after 40 misses."""
+    for _ in range(40):
         assign = {v: rng.choice(l.vertices) for v in k.vertices}
         if all(l.has_simplex({assign[v] for v in f}) for f in k.facets):
             return SimplicialMap(k, l, assign)
@@ -139,9 +132,9 @@ def random_simplicial_map(
     return SimplicialMap(k, l, {v: v0 for v in k.vertices})
 
 
-def random_complex_diagram(index_size: int, v: int, seed, density: float = 0.5) -> Diagram:
+def random_complex_diagram(index_size: int, v: int, seed) -> Diagram:
     rng = random.Random(seed)
-    index = _random_poset(rng, index_size, density, "p")
+    index = _random_poset(rng, index_size, 0.5, "p")
     fibers, maps = draw_along_extension(
         index,
         lambda p: _random_complex(rng, rng.randint(1, v)),
@@ -151,12 +144,12 @@ def random_complex_diagram(index_size: int, v: int, seed, density: float = 0.5) 
     return new_complex_diagram(index, fibers, maps)
 
 
-def random_dismantlable_poset(n: int, rng: random.Random, prefix: str = "d") -> FinitePoset:
+def random_dismantlable_poset(n: int, rng: random.Random) -> FinitePoset:
     """Grown one beat point at a time, so removal in reverse order dismantles it."""
-    els = [f"{prefix}0"]
+    els = ["d0"]
     rels: list[tuple[str, str]] = []
     for i in range(1, n):
-        new = f"{prefix}{i}"
+        new = f"d{i}"
         anchor = rng.choice(els)
         if rng.random() < 0.5:
             rels.append((new, anchor))

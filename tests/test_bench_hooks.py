@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from finhtop import reduction
+from finhtop.poset import chain, product
 from finhtop.homology import poset_homology
 from finhtop.verify import checks
 from finhtop.verify.suite import w_poset
@@ -34,6 +35,19 @@ def test_tracer_installs_over_every_layer_target(bench):
         spans.Tracer.uninstall(undo)
     assert {"reduction.oracle", "reduction.core", "reduction.search"} <= set(tracer.names)
     assert reduction.core.__name__ == "core" and not hasattr(reduction.core, "__wrapped__")
+
+
+def test_tracer_sees_the_poset_kernel(bench):
+    spans, _ = bench
+    tracer = spans.Tracer()
+    undo = tracer.install(spans.LAYER_TARGETS)
+    try:
+        # W is already a core; the product has beat points, so core deletes.
+        reduction.core(w_poset())
+        reduction.core(product(chain(2), chain(3)))
+    finally:
+        spans.Tracer.uninstall(undo)
+    assert {"poset.from_closure", "poset.subposet", "poset.linear_extension"} <= set(tracer.names)
 
 
 def test_benchmark_checkers_exist(bench):

@@ -157,6 +157,16 @@ class TestCli:
         assert len(obj["vertices"]) == 4
         assert len(obj["facets"]) == 4
 
+    def test_ordercomplex_of_long_chain(self, tmp_path, capsys):
+        # Deeper than the interpreter's recursion limit: chains are walked
+        # with an explicit stack.
+        path = tmp_path / "chain1200.json"
+        path.write_text(fio.dumps(fio.poset_to_obj(chain(1200))))
+        assert main(["--format", "json", "poset", "ordercomplex", str(path)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert len(obj["facets"]) == 1
+        assert len(obj["facets"][0]) == 1200
+
     def test_export_dot(self, files, capsys):
         assert main(["poset", "export-dot", str(files["s1"])]) == 0
         assert "digraph" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from finhtop import (
@@ -17,7 +18,9 @@ from finhtop import (
     preimage,
     product,
 )
+from finhtop.poset import FinitePoset
 from finhtop.verify.randgen import random_poset
+from finhtop.verify.suite import circle_poset, w_poset
 
 from conftest import brute_closure
 
@@ -290,3 +293,98 @@ class TestMaximumMinimum:
     def test_s1_has_neither(self, s1):
         assert s1.maximum() is None
         assert s1.minimum() is None
+
+
+# -- the kernel against brute force on the closure matrix -----------------------
+
+
+def ref_covers(p):
+    """Transitive reduction of closure_matrix() by an O(n^3) scan."""
+    m, els, n = p.closure_matrix(), p.elements, len(p)
+    return {
+        (els[i], els[j])
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and m[i, j]
+        and not any(k not in (i, j) and m[i, k] and m[k, j] for k in range(n))
+    }
+
+
+def ref_linear_extension(p):
+    """Repeatedly place the smallest identifier whose strict down-set is placed."""
+    placed, out = set(), []
+    while len(out) < len(p):
+        x = min(
+            y
+            for y in p.elements
+            if y not in placed and all(z in placed for z in p.elements if p.lt(z, y))
+        )
+        placed.add(x)
+        out.append(x)
+    return out
+
+
+SMALL = [random_poset(1 + k % 5, 0.5, 4300 + k) for k in range(40)]
+PAIRS = [(SMALL[k], SMALL[k + 1]) for k in range(0, 40, 2)]
+
+
+def _kernel_posets():
+    randoms = [
+        random_poset(1 + k % 14, (0.15, 0.3, 0.45, 0.6)[k % 4], 4100 + k) for k in range(150)
+    ]
+    subs = [p.subposet(p.elements[::2]) for p in randoms[::5]]
+    base = randoms + [w_poset(), circle_poset()] + [product(a, b) for a, b in PAIRS] + subs
+    return base + [p.opposite() for p in base[::3]]
+
+
+class TestKernelDifferential:
+    """Cover lists, extrema and extension order against the closure alone."""
+
+    POSETS = _kernel_posets()
+
+    def test_covers_and_cover_lists(self):
+        for p in self.POSETS:
+            rc = ref_covers(p)
+            assert p.covers == rc, p.elements
+            for x in p.elements:
+                assert p.covers_above(x) == [y for y in p.elements if (x, y) in rc]
+                assert p.covers_below(x) == [y for y in p.elements if (y, x) in rc]
+
+    def test_extremal_elements(self):
+        for p in self.POSETS:
+            assert p.minimal_elements() == [
+                x for x in p.elements if not any(p.lt(y, x) for y in p.elements)
+            ]
+            assert p.maximal_elements() == [
+                x for x in p.elements if not any(p.lt(x, y) for y in p.elements)
+            ]
+
+    def test_linear_extension(self):
+        for p in self.POSETS:
+            assert p.linear_extension() == ref_linear_extension(p), p.elements
+
+    def test_product_covers(self):
+        for a, b in PAIRS:
+            expected = {
+                (f"({x},{y})", f"({x},{y2})") for x in a.elements for (y, y2) in ref_covers(b)
+            } | {(f"({x},{y})", f"({x2},{y})") for (x, x2) in ref_covers(a) for y in b.elements}
+            assert product(a, b).covers == expected
+
+    def test_equality_and_hash_across_routes(self):
+        for p in self.POSETS:
+            els = list(p.elements)
+            bigger = FinitePoset.from_closure(
+                els + ["extra"],
+                np.pad(p.closure_matrix(), ((0, 1), (0, 1)), constant_values=False)
+                | np.eye(len(els) + 1, dtype=bool),
+            )
+            routes = [
+                FinitePoset.from_closure(els, p.closure_matrix()),
+                new_poset(els, sorted(p.covers)),
+                bigger.subposet(els),
+                p.opposite().opposite(),
+            ]
+            for q in routes:
+                assert q == p and hash(q) == hash(p) and q.covers == p.covers
+            assert (p.opposite() == p) == (not p.covers)
