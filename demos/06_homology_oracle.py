@@ -21,7 +21,7 @@ print("snf of a zero 3x2  =", smith_normal_form([[0, 0], [0, 0], [0, 0]]))
 # Boundary operator of a single edge.
 edge = new_complex(["1", "2"], [["1", "2"]])
 (d1,) = boundary_matrices(edge)
-print("\nboundary of an edge:", d1.entries)
+print("\nboundary of an edge:", d1.tolist())
 
 # The 6-vertex triangulation of the projective plane carries Z/2 torsion.
 rp2 = new_complex(

@@ -25,30 +25,6 @@ from .simplicial import SimplicialComplex, order_complex
 _GUARD = 2**30
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Dense integer matrix with exact (unbounded) entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match declared shape")
-
-    def to_array(self, dtype=object) -> np.ndarray:
-        a = np.zeros((self.rows, self.cols), dtype=dtype)
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                a[i, j] = v
-        return a
-
-    @classmethod
-    def from_rows(cls, rows, cols, entries) -> "IntegerMatrix":
-        return cls(rows, cols, tuple(tuple(int(v) for v in r) for r in entries))
-
-
 class _Overflow(Exception):
     pass
 
@@ -60,9 +36,9 @@ def _snf_diagonal(a: np.ndarray, guard: bool) -> list[int]:
     column.  A unit pivot (the common case for boundary matrices) clears
     its row and column in one vectorized pass; otherwise quotient reduction
     repeats until the pivot divides everything left, so the diagonal comes
-    out as the invariant-factor chain d1 | d2 | ... | dr.
+    out as the invariant-factor chain d1 | d2 | ... | dr.  Works in place
+    on a, which callers pass as a fresh copy.
     """
-    a = a.copy()
     m, n = a.shape
     r = 0
     diag: list[int] = []
@@ -120,35 +96,19 @@ def _snf_diagonal(a: np.ndarray, guard: bool) -> list[int]:
 def smith_normal_form(m) -> list[int]:
     """Invariant factors d1 | d2 | ... | dr (positive) of an integer matrix.
 
-    Accepts an IntegerMatrix, a numpy array, or a nested sequence.
+    Takes a numpy array or a nested sequence of integers.  Runs on int64
+    while every entry stays strictly inside the guard, exactly otherwise.
     """
-    if isinstance(m, np.ndarray) and m.dtype != object:
-        if m.size == 0:
-            return []
-        if np.abs(m).max() >= _GUARD:
-            return _snf_diagonal(m.astype(object), guard=False)
-        try:
-            return _snf_diagonal(m.astype(np.int64), guard=True)
-        except _Overflow:
-            return _snf_diagonal(m.astype(object), guard=False)
-    if isinstance(m, IntegerMatrix):
-        exact = m.to_array()
-    elif isinstance(m, np.ndarray):
-        exact = m.copy()
-    else:
-        exact = np.array([[int(v) for v in row] for row in m], dtype=object)
-    if exact.size == 0:
+    a = np.asarray(m)
+    if a.size == 0:
         return []
-    if max(abs(int(v)) for v in exact.flat) >= _GUARD:
-        return _snf_diagonal(exact, guard=False)
-    try:
-        return _snf_diagonal(exact.astype(np.int64), guard=True)
-    except _Overflow:
-        return _snf_diagonal(exact, guard=False)
-
-
-def rank(m) -> int:
-    return len(smith_normal_form(m))
+    # min/max rather than abs: abs wraps at the int64 minimum.
+    if -_GUARD < a.min() and a.max() < _GUARD:
+        try:
+            return _snf_diagonal(a.astype(np.int64), guard=True)
+        except _Overflow:
+            pass
+    return _snf_diagonal(a.astype(object), guard=False)
 
 
 @dataclass(frozen=True)
@@ -201,35 +161,26 @@ class HomologyProfile:
         return "\n".join(lines)
 
 
-def _boundary_arrays(k: SimplicialComplex) -> list[np.ndarray]:
+def boundary_matrices(k: SimplicialComplex) -> list[np.ndarray]:
+    """Boundary operators [d_1, ..., d_dim] in lexicographic simplex order.
+
+    Each is an int8 array, since every entry is 0 or +-1.  The sign of
+    deleting the i-th vertex (under the sorted vertex order of the simplex)
+    is (-1)^i.
+    """
     if k.is_empty():
         raise EmptyComplex("boundary matrices of the empty complex")
     by_dim = k.simplices_by_dim()
     arrays: list[np.ndarray] = []
     for deg in range(1, len(by_dim)):
         rows = {s: i for i, s in enumerate(by_dim[deg - 1])}
-        a = np.zeros((len(by_dim[deg - 1]), len(by_dim[deg])), dtype=np.int64)
+        a = np.zeros((len(by_dim[deg - 1]), len(by_dim[deg])), dtype=np.int8)
         for j, s in enumerate(by_dim[deg]):
             for i in range(len(s)):
                 face = s[:i] + s[i + 1 :]
                 a[rows[face], j] = (-1) ** i
         arrays.append(a)
-    for lower, upper in zip(arrays, arrays[1:]):
-        if (lower @ upper).any():
-            raise RuntimeError("invariant broken: boundary of boundary is nonzero")
     return arrays
-
-
-def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
-    """Boundary operators [d_1, ..., d_dim] in lexicographic simplex order.
-
-    The sign of deleting the i-th vertex (under the sorted vertex order of
-    the simplex) is (-1)^i.  d_k d_{k+1} = 0 is checked.
-    """
-    return [
-        IntegerMatrix.from_rows(a.shape[0], a.shape[1], a.tolist())
-        for a in _boundary_arrays(k)
-    ]
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
@@ -245,7 +196,12 @@ def homology_profile(k: SimplicialComplex) -> HomologyProfile:
         raise EmptyComplex("homology of the empty complex")
     by_dim = k.simplices_by_dim()
     dim = len(by_dim) - 1
-    factors = [smith_normal_form(m) for m in _boundary_arrays(k)]
+    arrays = boundary_matrices(k)
+    for lower, upper in zip(arrays, arrays[1:]):
+        # Exact int64 product: an int8 one wraps.
+        if (lower.astype(np.int64) @ upper).any():
+            raise RuntimeError("invariant broken: boundary of boundary is nonzero")
+    factors = [smith_normal_form(m) for m in arrays]
     betti = []
     torsion = []
     for deg in range(dim + 1):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import UnknownElement
 from .homology import poset_homology
@@ -185,10 +186,6 @@ def is_contractible(p: FinitePoset) -> bool:
 # -- weak points --------------------------------------------------------------
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def collapse_search(p: FinitePoset, budget: int = DEFAULT_BUDGET) -> RemovalSequence | None:
     """Bounded DFS for a sequence of weak-point deletions down to one point.
 
@@ -201,30 +198,29 @@ def collapse_search(p: FinitePoset, budget: int = DEFAULT_BUDGET) -> RemovalSequ
     require_nonempty(p)
     dead: set[frozenset[str]] = set()
     visited = 0
-
-    def dfs(current: FinitePoset) -> list[tuple[str, str]] | None:
-        nonlocal visited
-        if len(current) == 1:
-            return []
-        key = frozenset(current.elements)
-        if key in dead:
-            return None
-        visited += 1
-        if visited > budget:
-            raise _BudgetExhausted
-        candidates = _removable(current, _BEATS + (UP_WEAK, DOWN_WEAK))
-        for (x, kind) in sorted(candidates, key=lambda step: step[1] not in _BEATS):
-            rest = dfs(current.without(x))
-            if rest is not None:
-                return [(x, kind)] + rest
-        dead.add(key)
-        return None
-
-    try:
-        steps = dfs(p)
-    except _BudgetExhausted:
-        return None
-    return RemovalSequence(tuple(steps)) if steps is not None else None
+    # frames[i] is a live state with an iterator over its untried candidates;
+    # steps[i] removes a point of frames[i] to reach the next state.
+    frames: list[tuple[FinitePoset, Iterator[tuple[str, str]]]] = []
+    steps: list[tuple[str, str]] = []
+    current = p
+    while len(current) > 1:
+        if frozenset(current.elements) in dead:
+            steps.pop()
+        else:
+            visited += 1
+            if visited > budget:
+                return None
+            candidates = _removable(current, _BEATS + (UP_WEAK, DOWN_WEAK))
+            ordered = sorted(candidates, key=lambda step: step[1] not in _BEATS)
+            frames.append((current, iter(ordered)))
+        while (step := next(frames[-1][1], None)) is None:
+            dead.add(frozenset(frames.pop()[0].elements))
+            if not frames:
+                return None
+            steps.pop()
+        steps.append(step)
+        current = frames[-1][0].without(step[0])
+    return RemovalSequence(tuple(steps))
 
 
 # -- gamma points and the oracle ----------------------------------------------

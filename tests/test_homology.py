@@ -13,13 +13,11 @@ from finhtop import chain, new_poset
 from finhtop.diagram import hocolim
 from finhtop.homology import (
     HomologyProfile,
-    IntegerMatrix,
-    _boundary_arrays,
+    _snf_diagonal,
     boundary_matrices,
     euler_characteristic,
     homology_profile,
     poset_homology,
-    rank,
     smith_normal_form,
 )
 from finhtop.simplicial import barycentric, new_complex, order_complex
@@ -29,7 +27,7 @@ from finhtop.verify.suite import circle_complex
 
 def rational_betti(k):
     """Independent Betti computation over Q by floating-point rank."""
-    arrays = [a.astype(float) for a in _boundary_arrays(k)]
+    arrays = [a.astype(float) for a in boundary_matrices(k)]
     by_dim = k.simplices_by_dim()
     dim = len(by_dim) - 1
     betti = []
@@ -55,28 +53,43 @@ def rp2():
     )
 
 
+def sympy_factors(m):
+    d = sympy_snf(sympy.Matrix(m))
+    return sorted(abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i] != 0)
+
+
+def unimodular(rng, n):
+    """A random integer matrix of determinant +-1: eight elementary moves on I."""
+    u = np.eye(n, dtype=np.int64)
+    for _ in range(8):
+        i, j = rng.sample(range(n), 2)
+        u[i] += rng.choice([-2, -1, 1, 2]) * u[j]
+        if rng.random() < 0.3:
+            u[[i, j]] = u[[j, i]]
+    return u
+
+
 class TestBoundary:
     def test_single_edge_column(self):
         k = new_complex(["1", "2"], [["1", "2"]])
         (d1,) = boundary_matrices(k)
-        assert d1.entries == ((-1,), (1,))
+        assert d1.tolist() == [[-1], [1]]
 
     def test_triangle_boundary_column_sums_vanish(self):
         (d1,) = boundary_matrices(circle_complex())
-        arr = np.array(d1.entries)
-        assert arr.shape == (3, 3)
-        assert (arr.sum(axis=0) == 0).all()
+        assert d1.shape == (3, 3)
+        assert (d1.sum(axis=0) == 0).all()
 
     def test_four_cycle_rank(self, s1):
         (d1,) = boundary_matrices(order_complex(s1))
-        assert rank(d1) == 3
+        assert len(smith_normal_form(d1)) == 3
 
     def test_boundary_squared_is_zero(self):
         for seed in range(4):
             k = random_complex(5, 800 + seed)
-            arrays = _boundary_arrays(k)
+            arrays = boundary_matrices(k)
             for lower, upper in zip(arrays, arrays[1:]):
-                assert not (lower @ upper).any()
+                assert not (lower.astype(np.int64) @ upper).any()
 
 
 class TestSmith:
@@ -105,18 +118,12 @@ class TestSmith:
         rng = random.Random(1000 + seed)
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = [[rng.randint(-12, 12) for _ in range(c)] for _ in range(r)]
-        ours = smith_normal_form(m)
-        d = sympy_snf(sympy.Matrix(m))
-        theirs = sorted(abs(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
-        assert sorted(ours) == theirs
+        assert sorted(smith_normal_form(m)) == sympy_factors(m)
 
     def test_exact_fallback_beyond_int64_comfort(self):
         big = 2**40
         m = [[big, 3], [5, big]]
-        factors = smith_normal_form(m)
-        d = sympy_snf(sympy.Matrix(m))
-        theirs = sorted(abs(d[i, i]) for i in range(2) if d[i, i] != 0)
-        assert sorted(factors) == theirs
+        assert sorted(smith_normal_form(m)) == sympy_factors(m)
 
     def test_entry_growth_forces_fallback(self):
         # starts under the guard; elimination products cross it
@@ -124,8 +131,43 @@ class TestSmith:
         assert smith_normal_form(m) == [1, 2**58 - 1]
 
     def test_integer_matrix_input(self):
-        m = IntegerMatrix.from_rows(2, 2, [[2, 0], [0, 4]])
+        m = np.array([[2, 0], [0, 4]], dtype=object)
         assert smith_normal_form(m) == [2, 4]
+
+    def test_int64_minimum_is_positive(self):
+        # abs wraps at -2**63, so the int64 path must not see this entry
+        assert smith_normal_form(np.array([[-(2**63)]])) == [2**63]
+
+
+class TestSmithPathsDifferential:
+    """The int64 path of smith_normal_form against the exact object path,
+    and both against sympy on matrices of side at most 20."""
+
+    def factors(self, a):
+        fast = smith_normal_form(a)
+        assert fast == _snf_diagonal(a.astype(object), guard=False)
+        if max(a.shape) <= 20:
+            assert sorted(fast) == sympy_factors(a.tolist())
+        return fast
+
+    def test_rp2_boundaries(self):
+        d1, d2 = boundary_matrices(rp2())
+        assert self.factors(d1) == [1] * 5
+        assert self.factors(d2) == [1] * 9 + [2]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_complex_boundaries(self, seed):
+        k = random_complex(5, 1100 + seed)
+        by_dim = k.simplices_by_dim()
+        factors = [self.factors(a) for a in boundary_matrices(k)]
+        assert all(len(f) <= len(by_dim[deg]) for deg, f in enumerate(factors))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_z3_presentation(self, seed):
+        rng = random.Random(1200 + seed)
+        d = np.diag([1, 3, 0]).astype(np.int64)
+        m = unimodular(rng, 3) @ d @ unimodular(rng, 3)
+        assert self.factors(m) == [1, 3]
 
 
 class TestProfiles:
@@ -203,16 +245,39 @@ class TestEuler:
             chi = sum((-1) ** d * b for d, b in enumerate(p.betti))
             assert chi == euler_characteristic(k)
 
-    def test_euler_check_survives_optimized_mode(self):
+    @pytest.mark.parametrize(
+        "plant, message",
+        [
+            (
+                "real = h.euler_characteristic\n"
+                "h.euler_characteristic = lambda k: real(k) + 1\n"
+                "k = circle_complex()\n",
+                "Betti numbers disagree",
+            ),
+            (
+                "real = h.boundary_matrices\n"
+                "def flipped(k):\n"
+                "    arrays = real(k)\n"
+                "    arrays[-1][np.nonzero(arrays[-1])[0][0], 0] *= -1\n"
+                "    return arrays\n"
+                "h.boundary_matrices = flipped\n"
+                "k = new_complex(['a', 'b', 'c'], [['a', 'b', 'c']])\n",
+                "boundary of boundary is nonzero",
+            ),
+        ],
+        ids=["euler", "boundary"],
+    )
+    def test_invariant_survives_optimized_mode(self, plant, message):
         # The invariant must be an explicit raise, which -O does not strip.
         code = (
+            "import numpy as np\n"
             "import finhtop.homology as h\n"
+            "from finhtop.simplicial import new_complex\n"
             "from finhtop.verify.suite import circle_complex\n"
             "assert False, 'asserts are on'\n"
-            "real = h.euler_characteristic\n"
-            "h.euler_characteristic = lambda k: real(k) + 1\n"
-            "try:\n"
-            "    h.homology_profile(circle_complex())\n"
+            + plant
+            + "try:\n"
+            "    h.homology_profile(k)\n"
             "except RuntimeError as exc:\n"
             "    print('raised:', exc)\n"
         )
@@ -223,4 +288,4 @@ class TestEuler:
             [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert "raised: invariant broken: Betti numbers disagree" in proc.stdout
+        assert f"raised: invariant broken: {message}" in proc.stdout

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import finhtop
 from finhtop import EmptyPoset, chain, new_poset, product
 from finhtop.homology import poset_homology
 from finhtop.reduction import (
@@ -171,6 +175,24 @@ class TestCollapseSearch:
 
     def test_budget_exhaustion_returns_none(self, w):
         assert collapse_search(w, budget=0) is None
+
+    def test_long_chain_needs_no_recursion(self):
+        # one removal per point: 199 steps must not grow the Python stack
+        code = (
+            "import sys\n"
+            "from finhtop import chain\n"
+            "from finhtop.reduction import collapse_search\n"
+            "sys.setrecursionlimit(150)\n"
+            "print('steps:', len(collapse_search(chain(200))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(finhtop.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "steps: 199\n"
 
 
 class TestTrivialityOracle:
