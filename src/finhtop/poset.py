@@ -32,19 +32,22 @@ class FinitePoset:
     """Immutable finite poset.
 
     ``elements`` is an ordered tuple of distinct identifiers and the cached
-    closure matrix answers reachability.  ``from_closure`` derives the Hasse
-    diagram as up and down lists of element indices, in stored element
-    order; ``covers`` is the same relation as a frozenset of (lower, upper)
-    name pairs.  Values are safe to share across threads; no operation
-    mutates its inputs.
+    closure matrix answers reachability.  The Hasse diagram is kept as up and
+    down lists of element indices, in stored element order; ``covers`` is the
+    same relation as a frozenset of (lower, upper) name pairs.
+    ``from_closure`` validates outside input and derives the lists by
+    transitive reduction; ``subposet`` trusts its parent and derives them
+    from the parent's lists.  Values are safe to share across threads; no
+    operation mutates its inputs.
     """
 
     __slots__ = ("elements", "_index", "_leq", "_up", "_down", "_covers", "_hash")
 
     def __init__(self, elements, leq_matrix, up):
         # Internal constructor: trusts its arguments, and ``up[i]`` lists the
-        # indices covering element i in increasing order.  Use new_poset() or
-        # from_closure() to build validated instances.
+        # indices covering element i in increasing order.  Outside input goes
+        # through new_poset() or from_closure(), which validate it; subposet()
+        # and opposite() call this directly on orders already known valid.
         self.elements: tuple[str, ...] = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._leq = leq_matrix
@@ -169,11 +172,44 @@ class FinitePoset:
     # -- subposets ----------------------------------------------------------
 
     def subposet(self, keep: Iterable[str]) -> "FinitePoset":
-        """Full induced subposet on ``keep``, in this poset's element order."""
+        """Full induced subposet on ``keep``, in this poset's element order.
+
+        Trusted: an induced suborder of a valid closure is valid, so nothing
+        is re-checked.  The covers of a kept element are the minimal kept
+        elements reached by walking up the Hasse lists through dropped ones;
+        when every cover is kept they are just renumbered.
+        """
         idx = sorted({self.index_of(x) for x in keep})
-        return FinitePoset.from_closure(
-            [self.elements[i] for i in idx], self._leq[np.ix_(idx, idx)]
-        )
+        new = [-1] * len(self.elements)
+        for k, i in enumerate(idx):
+            new[i] = k
+        up: list[list[int]] = []
+        for i in idx:
+            ups = [new[j] for j in self._up[i]]
+            if -1 in ups:
+                ups = self._kept_covers(i, new)
+            up.append(ups)
+        leq = self._leq.take(idx, axis=0).take(idx, axis=1)
+        return FinitePoset([self.elements[i] for i in idx], leq, up)
+
+    def _kept_covers(self, i: int, new: list[int]) -> list[int]:
+        """New indices of the minimal kept elements above i (``new[j]`` is -1
+        for a dropped j), in increasing order."""
+        reached: set[int] = set()
+        seen: set[int] = set()
+        stack = [i]
+        while stack:
+            for j in self._up[stack.pop()]:
+                if new[j] >= 0:
+                    reached.add(j)
+                elif j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        r = sorted(reached)
+        if len(r) > 1:
+            below = self._leq.take(r, axis=0).take(r, axis=1).sum(axis=0).tolist()
+            r = [j for j, b in zip(r, below) if b == 1]
+        return [new[j] for j in r]
 
     def without(self, x: str) -> "FinitePoset":
         self.index_of(x)

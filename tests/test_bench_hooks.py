@@ -50,6 +50,21 @@ def test_tracer_sees_the_poset_kernel(bench):
     assert {"poset.from_closure", "poset.subposet", "poset.linear_extension"} <= set(tracer.names)
 
 
+def test_deletions_take_the_trusted_path(bench):
+    spans, _ = bench
+    grid, w = product(chain(2), chain(3)), w_poset()
+    tracer = spans.Tracer()
+    undo = tracer.install(spans.LAYER_TARGETS)
+    try:
+        reduction.core(grid)
+        reduction.collapse_search(w)
+    finally:
+        spans.Tracer.uninstall(undo)
+    # Every deletion is still a subposet span, and none re-validates.
+    assert "poset.subposet" in tracer.names
+    assert "poset.from_closure" not in tracer.names
+
+
 def test_benchmark_checkers_exist(bench):
     _, workloads = bench
     for name in workloads.CHECKERS:

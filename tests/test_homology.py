@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 import finhtop
 from finhtop import chain, new_poset
 from finhtop.diagram import hocolim
+from finhtop.errors import SizeLimitExceeded
 from finhtop.homology import (
+    MAX_CHAINS,
     HomologyProfile,
     _snf_diagonal,
     boundary_matrices,
+    chain_count,
     euler_characteristic,
     homology_profile,
     poset_homology,
@@ -226,6 +230,23 @@ class TestProfiles:
         text = p.describe()
         assert "H_0 = Z" in text
         assert "Z/2" in text
+
+
+class TestChainCount:
+    def test_matches_the_enumerated_order_complex(self, w, s1, sphere_diagram):
+        posets = [random_poset(1 + k % 13, 0.15 + 0.05 * (k % 9), 5100 + k) for k in range(60)]
+        for p in posets + [w, s1, hocolim(sphere_diagram)]:
+            assert chain_count(p) == sum(map(len, order_complex(p).simplices_by_dim()))
+
+    def test_exact_up_to_the_limit(self):
+        assert chain_count(chain(15)) == 2**15 - 1 <= MAX_CHAINS
+        assert MAX_CHAINS < chain_count(chain(16)) <= 2**16 - 1
+
+    def test_huge_order_complex_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitExceeded, match="more than 50000 simplices"):
+            poset_homology(chain(30))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEuler:

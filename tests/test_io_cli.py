@@ -167,6 +167,12 @@ class TestCli:
         assert len(obj["facets"]) == 1
         assert len(obj["facets"][0]) == 1200
 
+    def test_homology_of_a_huge_order_complex_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "chain30.json"
+        path.write_text(fio.dumps(fio.poset_to_obj(chain(30))))
+        assert main(["poset", "homology", str(path)]) == 2
+        assert "more than 50000 simplices" in capsys.readouterr().err
+
     def test_export_dot(self, files, capsys):
         assert main(["poset", "export-dot", str(files["s1"])]) == 0
         assert "digraph" in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -388,3 +390,54 @@ class TestKernelDifferential:
             for q in routes:
                 assert q == p and hash(q) == hash(p) and q.covers == p.covers
             assert (p.opposite() == p) == (not p.covers)
+
+
+# -- the trusted subposet path against validation from scratch -----------------
+
+
+def _trusted_cases():
+    """(parent, kept names, subposet) from every route into ``subposet``."""
+    rng = random.Random(4500)
+    parents = [
+        random_poset(2 + k % 13, (0.2, 0.35, 0.5, 0.7)[k % 4], 4500 + k) for k in range(120)
+    ] + [w_poset(), circle_poset()]
+    cases = []
+    for p in parents:
+        els = list(p.elements)
+        for _ in range(4):
+            keep = [x for x in els if rng.random() < 0.5]
+            cases.append((p, keep, p.subposet(keep)))
+        cases += [(p, [y for y in els if y != x], p.without(x)) for x in els]
+        for x in els[::3]:
+            above = [y for y in els if p.leq(x, y)]
+            below = [y for y in els if p.leq(y, x)]
+            cases += [
+                (p, above, p.up_set(x)),
+                (p, below, p.down_set(x)),
+                (p, [y for y in above if y != x], p.strict_up_set(x)),
+                (p, [y for y in below if y != x], p.strict_down_set(x)),
+            ]
+        q = p
+        for x in rng.sample(els, len(els) - 1):
+            sub = q.without(x)
+            cases.append((q, [y for y in q.elements if y != x], sub))
+            q = sub
+    return cases
+
+
+class TestTrustedSubposet:
+    """``subposet`` validates nothing; it must agree with ``from_closure``."""
+
+    CASES = _trusted_cases()
+
+    def test_agrees_with_from_closure_and_brute_force(self):
+        for p, keep, sub in self.CASES:
+            idx = [p.index_of(x) for x in keep]
+            ref = FinitePoset.from_closure(keep, p.closure_matrix()[np.ix_(idx, idx)])
+            assert sub == ref and hash(sub) == hash(ref)
+            rc = ref_covers(ref)
+            assert sub.covers == ref.covers == rc, (p.elements, keep)
+            for x in keep:
+                assert sub.covers_above(x) == ref.covers_above(x)
+                assert sub.covers_below(x) == ref.covers_below(x)
+                assert sub.covers_above(x) == [y for y in keep if (x, y) in rc]
