@@ -5,7 +5,10 @@ package: two finite spaces with different homology profiles cannot be weak
 equivalent.  Coefficients are the integers, so torsion is seen.  The SNF
 runs on int64 with vectorized row/column operations and falls back to
 exact unbounded integers if entries ever approach the overflow guard, so
-results are always exact.
+results are always exact.  Each pivot updates only the rows and columns
+with a nonzero entry against it.  The invariant boundary of boundary = 0 is
+checked from the nonzeros of the boundary arrays, except on pairs small
+enough that their dense product is cheaper.
 """
 
 from __future__ import annotations
@@ -24,10 +27,19 @@ from .simplicial import SimplicialComplex, order_complex
 # of two sub-guard values) stays under 2^62 and cannot overflow int64.
 _GUARD = 2**30
 
-# poset_homology refuses order complexes with more simplices than this.  Dense
-# SNF does not finish at 17,180; the check battery and the benchmark's inputs
-# stay below 3,500.
+# poset_homology refuses order complexes with more simplices than this.  The
+# bound is above what dense SNF finishes: on 2 cores chain(12) (4,095
+# simplices) takes 4.0 s and chain(13) (8,191) 34 s, and
+# random_poset(24, 0.3, "s24") (17,180) does not finish in 240 s.  The check
+# battery and the benchmark's inputs stay below 3,500.
 MAX_CHAINS = 50_000
+
+# The boundary of boundary check takes the int64 product of two boundary arrays
+# when it needs fewer multiply-adds than this, and pairs their nonzeros above
+# it.  numpy has no BLAS for integer products, so the product's cost grows as
+# rows x inner x columns, while the pairing costs about 60 us plus a term in
+# the nonzeros.  The two meet between 2^17 and 2^19 multiply-adds on 2 cores.
+_DENSE_PRODUCT_WORK = 2**18
 
 
 class _Overflow(Exception):
@@ -69,17 +81,20 @@ def _snf_diagonal(a: np.ndarray, guard: bool) -> list[int]:
             if a[r, r] < 0:
                 a[r, :] = -a[r, :]
             piv = a[r, r]
-            col = a[r + 1 :, r]
-            if col.any():
-                qs = col // piv
-                a[r + 1 :, r:] -= np.outer(qs, a[r, r:])
-            row = a[r, r + 1 :]
-            if row.any():
-                qs = row // piv
-                a[r:, r + 1 :] -= np.outer(a[r:, r], qs)
+            # Only rows and columns with a nonzero entry against the pivot
+            # change; the others would subtract a zero quotient.
+            below = a[r + 1 :, r:]
+            rows = np.nonzero(below[:, 0])[0]
+            if len(rows):
+                below[rows] -= np.outer(below[rows, 0] // piv, a[r, r:])
             if piv == 1:
-                # Unit pivots leave no remainders and divide everything.
+                # Unit pivots leave no remainders and divide everything.  The
+                # column below is now zero, so the column update only clears
+                # the pivot's row.
+                a[r, r + 1 :] = 0
                 break
+            cols = np.nonzero(a[r, r + 1 :])[0] + r + 1
+            a[r:, cols] -= np.outer(a[r:, r], a[r, cols] // piv)
             sub = a[r:, r:]
             if not a[r + 1 :, r].any() and not a[r, r + 1 :].any():
                 # Pivot must divide everything left; otherwise mix the
@@ -188,6 +203,31 @@ def boundary_matrices(k: SimplicialComplex) -> list[np.ndarray]:
     return arrays
 
 
+def _composite_is_nonzero(lower: np.ndarray, upper: np.ndarray) -> bool:
+    """Whether lower @ upper has a nonzero entry, read from the nonzeros.
+
+    Each nonzero (i, j) of upper pairs with each nonzero (r, i) of column i of
+    lower, and the signed products are summed per (r, j).  The cost is
+    nnz(upper) times the column length of lower; no dense product is formed.
+    """
+    # Nonzeros of the transposes come sorted by column.
+    lower_cols, lower_rows = np.nonzero(lower.T)
+    upper_cols, upper_rows = np.nonzero(upper.T)
+    starts = np.searchsorted(lower_cols, upper_rows)
+    lengths = np.searchsorted(lower_cols, upper_rows, side="right") - starts
+    # Pair t joins nonzero u[t] of upper with nonzero v[t] of lower.
+    u = np.repeat(np.arange(len(upper_rows)), lengths)
+    v = np.arange(len(u)) + (starts - np.cumsum(lengths) + lengths)[u]
+    products = lower[lower_rows[v], lower_cols[v]].astype(np.int64) * upper[
+        upper_rows[u], upper_cols[u]
+    ]
+    keys = lower_rows[v] * upper.shape[1] + upper_cols[u]
+    distinct, group = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(distinct), dtype=np.int64)
+    np.add.at(sums, group, products)
+    return bool(sums.any())
+
+
 def euler_characteristic(k: SimplicialComplex) -> int:
     """Alternating sum of simplex counts."""
     if k.is_empty():
@@ -203,8 +243,12 @@ def homology_profile(k: SimplicialComplex) -> HomologyProfile:
     dim = len(by_dim) - 1
     arrays = boundary_matrices(k)
     for lower, upper in zip(arrays, arrays[1:]):
-        # Exact int64 product: an int8 one wraps.
-        if (lower.astype(np.int64) @ upper).any():
+        if lower.size * upper.shape[1] < _DENSE_PRODUCT_WORK:
+            # Exact int64 product: an int8 one wraps.
+            nonzero = (lower.astype(np.int64) @ upper).any()
+        else:
+            nonzero = _composite_is_nonzero(lower, upper)
+        if nonzero:
             raise RuntimeError("invariant broken: boundary of boundary is nonzero")
     factors = [smith_normal_form(m) for m in arrays]
     betti = []

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from finhtop import reduction
-from finhtop.poset import chain, product
+from finhtop.poset import chain, new_poset, product
 from finhtop.homology import poset_homology
+from finhtop.simplicial import order_complex
 from finhtop.verify import checks
 from finhtop.verify.suite import w_poset
 
@@ -63,6 +64,34 @@ def test_deletions_take_the_trusted_path(bench):
     # Every deletion is still a subposet span, and none re-validates.
     assert "poset.subposet" in tracer.names
     assert "poset.from_closure" not in tracer.names
+
+
+def test_homology_spans_per_call(bench):
+    spans, _ = bench
+    # Minimal finite model of S^4: five levels of two points.
+    levels = [(f"a{i}", f"b{i}") for i in range(5)]
+    sphere = new_poset(
+        [e for level in levels for e in level],
+        [(x, y) for lo, hi in zip(levels, levels[1:]) for x in lo for y in hi],
+    )
+    sizes = [len(b) for b in order_complex(sphere).simplices_by_dim()]
+    dim = len(sizes) - 1
+    poset_homology.cache_clear()
+    tracer = spans.Tracer()
+    undo = tracer.install(spans.LAYER_TARGETS)
+    try:
+        profile = poset_homology(sphere)
+    finally:
+        spans.Tracer.uninstall(undo)
+        poset_homology.cache_clear()
+    assert dim == 4 and profile.betti == (1, 0, 0, 0, 1)
+    # The check of boundary of boundary calls nothing traced, and SNF still
+    # receives one array per boundary operator.
+    assert tracer.names.count("homology.boundary") == 1
+    assert tracer.names.count("homology.snf") == dim
+    assert tracer.counts["homology.snf.entries"] == sum(
+        rows * cols for rows, cols in zip(sizes, sizes[1:])
+    )
 
 
 def test_benchmark_checkers_exist(bench):

@@ -14,8 +14,11 @@ from finhtop import chain, new_poset
 from finhtop.diagram import hocolim
 from finhtop.errors import SizeLimitExceeded
 from finhtop.homology import (
+    _GUARD,
     MAX_CHAINS,
     HomologyProfile,
+    _composite_is_nonzero,
+    _Overflow,
     _snf_diagonal,
     boundary_matrices,
     chain_count,
@@ -96,6 +99,63 @@ class TestBoundary:
                 assert not (lower.astype(np.int64) @ upper).any()
 
 
+class TestCompositeCheck:
+    """The nonzero pairing that checks boundary of boundary = 0 past
+    _DENSE_PRODUCT_WORK, against the int64 product it replaces there, on
+    int8 pairs with entries in {-1, 0, 1}."""
+
+    @staticmethod
+    def dense(lower, upper):
+        return bool((lower.astype(np.int64) @ upper).any())
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(2011)
+        outcomes = []
+        for _ in range(2000):
+            m, n, p = rng.integers(0, 7, size=3)
+            density = rng.random()
+            lower, upper = (
+                (rng.integers(-1, 2, size=shape) * (rng.random(shape) < density)).astype(np.int8)
+                for shape in ((m, n), (n, p))
+            )
+            kind = rng.integers(4)
+            if kind == 1 and n:
+                lower[:, rng.integers(n)] = 0
+            elif kind == 2 and p:
+                upper[:, rng.integers(p)] = 0
+            elif kind == 3:
+                (lower if rng.random() < 0.5 else upper)[:] = 0
+            outcomes.append(self.dense(lower, upper))
+            assert _composite_is_nonzero(lower, upper) == outcomes[-1]
+        # Both answers occur often enough to mean something.
+        assert 400 < sum(outcomes) < 1600
+
+    @pytest.mark.parametrize("m, n, p", [(0, 0, 0), (0, 3, 2), (3, 0, 2), (3, 2, 0), (1, 1, 1)])
+    def test_zero_size_and_zero_matrices(self, m, n, p):
+        lower = np.zeros((m, n), dtype=np.int8)
+        upper = np.ones((n, p), dtype=np.int8)
+        assert not _composite_is_nonzero(lower, upper)
+        assert not _composite_is_nonzero(upper.T.copy(), lower.T.copy())
+
+    def test_cancelling_signs(self):
+        lower = np.array([[1, 1, 0], [0, 1, -1]], dtype=np.int8)
+        upper = np.array([[1], [-1], [-1]], dtype=np.int8)
+        assert not self.dense(lower, upper) and not _composite_is_nonzero(lower, upper)
+        upper[2, 0] = 0
+        assert self.dense(lower, upper) and _composite_is_nonzero(lower, upper)
+
+    def test_every_single_defect_in_real_boundaries(self):
+        arrays = boundary_matrices(random_complex(5, 1300))
+        for lower, upper in zip(arrays, arrays[1:]):
+            assert not _composite_is_nonzero(lower, upper)
+            for i, j in list(zip(*np.nonzero(upper)))[:40]:
+                broken = upper.copy()
+                broken[i, j] = 0
+                assert _composite_is_nonzero(lower, broken)
+                broken[i, j] = -upper[i, j]
+                assert _composite_is_nonzero(lower, broken)
+
+
 class TestSmith:
     def test_scalar(self):
         assert smith_normal_form([[2]]) == [2]
@@ -172,6 +232,108 @@ class TestSmithPathsDifferential:
         d = np.diag([1, 3, 0]).astype(np.int64)
         m = unimodular(rng, 3) @ d @ unimodular(rng, 3)
         assert self.factors(m) == [1, 3]
+
+
+def pivot_moves(m):
+    """The diagonal of m and the row and column swaps that reached it,
+    recorded from the swaps _snf_diagonal makes on its array, which it must
+    leave diagonal."""
+    moves = []
+
+    class Logged(np.ndarray):
+        def __setitem__(self, key, value):
+            for axis, k in zip(("row", "col"), key):
+                if type(k) is list:
+                    moves.append((axis, *k))
+            super().__setitem__(key, value)
+
+    a = np.array(m, dtype=np.int64).view(Logged)
+    diag = _snf_diagonal(a, guard=True)
+    rank = range(len(diag))
+    assert a[rank, rank].tolist() == diag and np.count_nonzero(a) == len(diag)
+    return diag, moves
+
+
+class TestRestrictedPivotUpdates:
+    """Each pivot updates only the rows and columns with a nonzero entry
+    against it; checked against sympy on sparse matrices, and pinned to the
+    pivot sequence of the unrestricted update."""
+
+    def test_sparse_against_sympy(self):
+        rng = np.random.default_rng(2012)
+        for _ in range(300):
+            m, n = rng.integers(1, 31, size=2)
+            mask = rng.random((m, n)) < rng.uniform(0.05, 0.3)
+            a = rng.integers(-3, 4, size=(m, n)) * mask
+            assert sorted(smith_normal_form(a)) == sympy_factors(a.tolist())
+
+    def test_torsion_boundaries_against_sympy(self):
+        for k in (rp2(), barycentric(rp2())):
+            d1, d2 = boundary_matrices(k)
+            assert smith_normal_form(d1) == sympy_factors(d1.tolist()) == [1] * (len(d1) - 1)
+            assert smith_normal_form(d2) == sympy_factors(d2.tolist())
+            assert smith_normal_form(d2)[-1] == 2
+        for seed in range(10):
+            rng = random.Random(1200 + seed)
+            m = unimodular(rng, 3) @ np.diag([1, 3, 0]) @ unimodular(rng, 3)
+            assert smith_normal_form(m) == sympy_factors(m.tolist()) == [1, 3]
+
+    def test_sparse_matrix_forces_the_exact_fallback(self):
+        a = np.zeros((7, 9), dtype=np.int64)
+        a[0, 0] = -(_GUARD - 2)
+        a[2, 4] = a[5, 7] = _GUARD - 1
+        a[2, 7] = a[5, 4] = 1
+        a[6, 1] = 3
+        with pytest.raises(_Overflow):
+            _snf_diagonal(a.copy(), guard=True)
+        assert smith_normal_form(a) == sympy_factors(a.tolist())
+        assert smith_normal_form(a) == _snf_diagonal(a.astype(object), guard=False)
+
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], ([2, 6, 12], [("col", 1, 2)])),
+            ([[2, 0], [0, 3]], ([1, 6], [("col", 0, 1)])),
+            (
+                [[-12, -12, -38], [6, 6, 19], [12, 9, 31]],
+                ([1, 3], [("row", 0, 1), ("col", 0, 2), ("row", 1, 2)]),
+            ),
+            (
+                [
+                    [3, 0, 0, 0, 0, 0, 0, -2],
+                    [-3, -1, 0, 3, 0, -3, 0, 2],
+                    [-3, 0, 0, 0, 0, 0, -1, 0],
+                    [0, 0, 0, 0, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 0, 0, 0, 3],
+                    [0, -2, 0, -2, 0, 1, 0, 0],
+                ],
+                (
+                    [1, 1, 1, 1, 9],
+                    [
+                        ("row", 0, 1), ("col", 0, 1), ("row", 1, 2), ("col", 1, 6),
+                        ("col", 2, 7), ("col", 2, 6), ("row", 3, 5), ("col", 3, 5),
+                        ("col", 3, 5), ("col", 3, 5), ("col", 4, 6),
+                    ],
+                ),
+            ),
+            (
+                boundary_matrices(rp2())[1],
+                (
+                    [1] * 9 + [2],
+                    [
+                        ("col", 1, 2), ("col", 2, 3), ("row", 4, 5), ("col", 4, 5),
+                        ("row", 5, 6), ("col", 5, 6), ("row", 6, 7), ("row", 7, 10),
+                        ("row", 8, 12),
+                    ],
+                ),
+            ),
+        ],
+        ids=["textbook", "fix-up", "z3", "sparse", "rp2"],
+    )
+    def test_pivot_sequence_is_pinned(self, m, expected):
+        # Frozen from the unrestricted update: a changed pivot rule changes
+        # the swaps even where the diagonal, being canonical, stays the same.
+        assert pivot_moves(m) == expected
 
 
 class TestProfiles:
@@ -285,8 +447,32 @@ class TestEuler:
                 "k = new_complex(['a', 'b', 'c'], [['a', 'b', 'c']])\n",
                 "boundary of boundary is nonzero",
             ),
+            (
+                "real = h.boundary_matrices\n"
+                "def zeroed(k):\n"
+                "    arrays = real(k)\n"
+                "    arrays[1][np.flatnonzero(arrays[1][:, 0])[0], 0] = 0\n"
+                "    return arrays\n"
+                "h.boundary_matrices = zeroed\n"
+                "k = new_complex(['a', 'b', 'c', 'd'], [['a', 'b', 'c', 'd']])\n",
+                "boundary of boundary is nonzero",
+            ),
+            (
+                # d_4 @ d_5 of the 8-simplex is past the dense product's limit,
+                # so the nonzero pairing must catch it.
+                "real = h.boundary_matrices\n"
+                "def zeroed(k):\n"
+                "    arrays = real(k)\n"
+                "    if arrays[3].size * arrays[4].shape[1] < h._DENSE_PRODUCT_WORK:\n"
+                "        raise SystemExit('plant is below the pairing threshold')\n"
+                "    arrays[4][np.flatnonzero(arrays[4][:, 0])[0], 0] = 0\n"
+                "    return arrays\n"
+                "h.boundary_matrices = zeroed\n"
+                "k = new_complex(list('abcdefghi'), [list('abcdefghi')])\n",
+                "boundary of boundary is nonzero",
+            ),
         ],
-        ids=["euler", "boundary"],
+        ids=["euler", "boundary", "middle-degree", "middle-degree-paired"],
     )
     def test_invariant_survives_optimized_mode(self, plant, message):
         # The invariant must be an explicit raise, which -O does not strip.
