@@ -41,7 +41,7 @@ class FinitePoset:
     operation mutates its inputs.
     """
 
-    __slots__ = ("elements", "_index", "_leq", "_up", "_down", "_covers", "_hash")
+    __slots__ = ("elements", "_index", "_leq", "_up", "_down", "_covers", "_masks", "_hash")
 
     def __init__(self, elements, leq_matrix, up):
         # Internal constructor: trusts its arguments, and ``up[i]`` lists the
@@ -58,6 +58,7 @@ class FinitePoset:
             for j in ups:
                 self._down[j].append(i)
         self._covers = None
+        self._masks = None
         self._hash = None
 
     # -- construction -----------------------------------------------------
@@ -130,6 +131,20 @@ class FinitePoset:
     def closure_matrix(self) -> np.ndarray:
         """The cached reachability matrix (read-only view)."""
         return self._leq
+
+    def _strict_masks(self) -> tuple[list[int], list[int]]:
+        """Each element's strict up-set and strict down-set as int bitmasks
+        (bit i is element i), packed from the closure on first call."""
+        if self._masks is None:
+            strict = self._leq & ~np.eye(len(self.elements), dtype=bool)
+            self._masks = tuple(
+                [int.from_bytes(row.tobytes(), "little") for row in packed]
+                for packed in (
+                    np.packbits(strict, axis=1, bitorder="little"),
+                    np.packbits(strict.T, axis=1, bitorder="little"),
+                )
+            )
+        return self._masks
 
     # -- cover-relation views ----------------------------------------------
 

@@ -45,7 +45,10 @@ def test_tracer_sees_the_poset_kernel(bench):
     try:
         # W is already a core; the product has beat points, so core deletes.
         reduction.core(w_poset())
-        reduction.core(product(chain(2), chain(3)))
+        grid = product(chain(2), chain(3))
+        reduction.core(grid)
+        # core scans live masks; the extension stays a target for the checkers.
+        grid.linear_extension()
     finally:
         spans.Tracer.uninstall(undo)
     assert {"poset.from_closure", "poset.subposet", "poset.linear_extension"} <= set(tracer.names)
@@ -61,8 +64,11 @@ def test_deletions_take_the_trusted_path(bench):
         reduction.collapse_search(w)
     finally:
         spans.Tracer.uninstall(undo)
-    # Every deletion is still a subposet span, and none re-validates.
+    # Deletions clear bits of a live mask: the returned core is the only
+    # subposet built, the search builds none, and nothing re-validates.
     assert "poset.subposet" in tracer.names
+    assert tracer.names.count("poset.subposet") == 1
+    assert tracer.names.index("poset.subposet") < tracer.names.index("reduction.search")
     assert "poset.from_closure" not in tracer.names
 
 

@@ -10,17 +10,18 @@ import finhtop
 from finhtop import EmptyPoset, chain, new_poset, product
 from finhtop.homology import poset_homology
 from finhtop.reduction import (
-    RemovalSequence,
-    collapse_search,
+    DOWN_WEAK,
     KINDS,
+    UP_WEAK,
+    RemovalSequence,
+    Triviality,
+    collapse_search,
     core,
     holds,
     is_contractible,
     is_down_beat,
-    is_down_weak,
-    is_gamma_point,
     is_up_beat,
-    is_up_weak,
+    replay,
     triviality_oracle,
     verify_removal_sequence,
 )
@@ -128,9 +129,9 @@ class TestWeakPoints:
             p = random_poset(8, 0.4, 1400 + seed)
             for x in p.elements:
                 if is_up_beat(p, x):
-                    assert is_up_weak(p, x)
+                    assert holds(p, x, UP_WEAK)
                 if is_down_beat(p, x):
-                    assert is_down_weak(p, x)
+                    assert holds(p, x, DOWN_WEAK)
 
     def test_w_element_9_is_down_weak(self, w):
         # its strict down-set {1,2,3,5,6} dismantles (2 and 3 are up beat
@@ -138,17 +139,17 @@ class TestWeakPoints:
         down = w.strict_down_set("9")
         assert set(down.elements) == {"1", "2", "3", "5", "6"}
         assert is_contractible(down)
-        assert is_down_weak(w, "9")
-        assert not is_up_weak(w, "9")
+        assert holds(w, "9", DOWN_WEAK)
+        assert not holds(w, "9", UP_WEAK)
 
     def test_minimum_of_cone_not_down_weak(self, cone):
         # the empty strict down-set is not contractible
-        assert not is_down_weak(cone, "m")
+        assert not holds(cone, "m", DOWN_WEAK)
 
     def test_s1_has_no_weak_points(self, s1):
         for x in s1.elements:
-            assert not is_up_weak(s1, x)
-            assert not is_down_weak(s1, x)
+            assert not holds(s1, x, UP_WEAK)
+            assert not holds(s1, x, DOWN_WEAK)
 
 
 class TestCollapseSearch:
@@ -231,22 +232,21 @@ class TestTrivialityOracle:
 
 class TestGammaPoints:
     def test_weak_point_is_gamma(self, w):
-        v = is_gamma_point(w, "9")
+        v = triviality_oracle(w.strict_down_set("9"))
         assert v.verdict == "Trivial"
-        assert v.evidence["side"] == "down"
 
     def test_s1_points_nontrivial(self, s1):
         for x in s1.elements:
-            assert is_gamma_point(s1, x).verdict == "NonTrivial"
+            assert triviality_oracle(s1.strict_down_set(x)).verdict == "NonTrivial"
+            assert triviality_oracle(s1.strict_up_set(x)).verdict == "NonTrivial"
 
     def test_planted_w_down_set(self, w):
         coned = new_poset(
             list(w.elements) + ["z"],
             sorted(w.covers) + [(m, "z") for m in w.maximal_elements()],
         )
-        v = is_gamma_point(coned, "z")
+        v = triviality_oracle(coned.strict_down_set("z"))
         assert v.verdict == "Trivial"
-        assert v.evidence["side"] == "down"
 
 
 class TestVerifyRemovalSequence:
@@ -358,3 +358,197 @@ class TestKindTestDifferential:
         assert "sideways" not in KINDS
         with pytest.raises(ValueError):
             holds(s1, "a", "sideways")
+
+
+# -- the pre-kernel path, as a reference -----------------------------------------
+# Every removal builds a new poset with ``without``; scans follow the current
+# poset's ``linear_extension``; beat tests count ``covers_above``/``covers_below``.
+
+_REF_BEATS = ("up-beat", "down-beat")
+
+
+def _ref_holds(p, x, kind, budget, gamma_depth=3):
+    if kind == "up-beat":
+        return len(p.covers_above(x)) == 1
+    if kind == "down-beat":
+        return len(p.covers_below(x)) == 1
+    side = p.strict_up_set(x) if kind in ("up-weak", "gamma-up") else p.strict_down_set(x)
+    if side.is_empty():
+        return False
+    if kind in ("up-weak", "down-weak"):
+        return len(_ref_core(side)[0]) == 1
+    return _ref_oracle(side, budget, gamma_depth).is_trivial()
+
+
+def _ref_removable(p, kinds, budget=100_000, gamma_depth=3):
+    for x in p.linear_extension():
+        for kind in kinds:
+            if _ref_holds(p, x, kind, budget, gamma_depth):
+                yield x, kind
+                break
+
+
+def _ref_core(p):
+    steps, current = [], p
+    while len(current) > 1:
+        found = next(_ref_removable(current, _REF_BEATS), None)
+        if found is None:
+            break
+        steps.append(found)
+        current = current.without(found[0])
+    return current, tuple(steps)
+
+
+def _ref_search(p, budget):
+    dead, visited, frames, steps, current = set(), 0, [], [], p
+    while len(current) > 1:
+        if frozenset(current.elements) in dead:
+            steps.pop()
+        else:
+            visited += 1
+            if visited > budget:
+                return None
+            kinds = _REF_BEATS + ("up-weak", "down-weak")
+            ordered = sorted(_ref_removable(current, kinds), key=lambda st: st[1] not in _REF_BEATS)
+            frames.append((current, iter(ordered)))
+        while (step := next(frames[-1][1], None)) is None:
+            dead.add(frozenset(frames.pop()[0].elements))
+            if not frames:
+                return None
+            steps.pop()
+        steps.append(step)
+        current = frames[-1][0].without(step[0])
+    return tuple(steps)
+
+
+def _ref_oracle(p, budget=100_000, gamma_depth=3):
+    if p.is_empty():
+        return Triviality("NonTrivial", {"empty": True})
+    current, steps = _ref_core(p)
+    steps = list(steps)
+    if len(current) > 1:
+        profile = poset_homology(current)
+        if not profile.is_trivial():
+            betti, torsion = list(profile.betti), [list(t) for t in profile.torsion]
+            return Triviality(
+                "NonTrivial", {"nonzero_homology": {"betti": betti, "torsion": torsion}}
+            )
+    while len(current) > 1:
+        found = _ref_search(current, budget)
+        if found is not None:
+            steps.extend(found)
+            break
+        if gamma_depth <= 0:
+            return Triviality("Unknown", {"budget": budget, "gamma_depth_exhausted": True})
+        kinds = ("gamma-down", "gamma-up")
+        gamma = next(_ref_removable(current, kinds, budget, gamma_depth - 1), None)
+        if gamma is None:
+            return Triviality("Unknown", {"budget": budget, "no_gamma_point_found": True})
+        steps.append(gamma)
+        current, more = _ref_core(current.without(gamma[0]))
+        steps.extend(more)
+    return Triviality("Trivial", {"sequence": RemovalSequence(tuple(steps))})
+
+
+def _ref_replay(p, steps, budget=100_000):
+    current = p
+    for x, kind in steps:
+        if not _ref_holds(current, x, kind, budget):
+            return current, (x, kind)
+        current = current.without(x)
+    return current, None
+
+
+def _relabeled(p, rng):
+    """p under shuffled names, so that name order, stored order and the
+    order of the extension all differ."""
+    names = dict(zip(p.elements, rng.sample([f"e{i}" for i in range(len(p))], len(p))))
+    return new_poset([names[x] for x in p.elements], [(names[a], names[b]) for a, b in p.covers])
+
+
+def _suspension(p, k):
+    """k-fold non-Hausdorff suspension: two new points above every maximal one."""
+    for level in range(k):
+        tops, pair = p.maximal_elements(), [f"n{level}a", f"n{level}b"]
+        p = new_poset(list(p.elements) + pair, sorted(p.covers) + [(t, q) for t in tops for q in pair])
+    return p
+
+
+def _doubled_square():
+    """A square v0 v1 v2 v3 with each side doubled, and five square cells
+    each taking one edge of every side.  It is acyclic and simply
+    connected, yet no point is weak, so the search strands at once and
+    the oracle answers Unknown."""
+    sides = {"v0v1": ("e4", "e6"), "v1v2": ("e0", "e7"), "v2v3": ("e1", "e5"), "v3v0": ("e2", "e3")}
+    cells = {
+        "f0": ("e4", "e0", "e5", "e3"),
+        "f1": ("e4", "e7", "e5", "e2"),
+        "f2": ("e6", "e7", "e1", "e3"),
+        "f3": ("e6", "e0", "e1", "e3"),
+        "f4": ("e4", "e7", "e1", "e2"),
+    }
+    relations = [(v, e) for side, edges in sides.items() for e in edges for v in (side[:2], side[2:])]
+    relations += [(e, f) for f, edges in cells.items() for e in edges]
+    elements = [f"v{i}" for i in range(4)] + [f"e{i}" for i in range(8)] + list(cells)
+    return new_poset(elements, relations)
+
+
+class TestMaskKernelDifferential:
+    """The mask kernel against the pre-kernel path, step for step."""
+
+    # An exhaustive search of a sparse 14-point poset that does not collapse
+    # visits tens of thousands of states, seconds each on the reference
+    # path; random posets above this size get the two small budgets only.
+    EXHAUSTIVE_MAX = 11
+
+    @staticmethod
+    def posets():
+        rng = random.Random(12)
+        out = [
+            (f"random{k}", random_poset(1 + k % 14, (0.2, 0.35, 0.5)[k % 3], 7100 + k))
+            for k in range(100)
+        ]
+        out += [
+            (f"relabeled{k}", _relabeled(random_poset(1 + k % 14, (0.2, 0.35, 0.5)[k % 3], 7300 + k), rng))
+            for k in range(100)
+        ]
+        w, s1 = w_poset(), circle_poset()
+        named = [("W", w), ("circle", s1), ("grid", product(chain(2), chain(3)))]
+        named += [("circle x chain", product(s1, chain(2))), ("circle x point", product(s1, chain(1)))]
+        named += [(f"S^{k}(W)", _suspension(w, k)) for k in (1, 2)]
+        # Removals here free elements whose names sort before elements
+        # already scanned, so the scan of what is left is not the root's
+        # extension restricted to it.
+        freed = new_poset(
+            ["e0", "e4", "e6", "e7", "e2", "e5", "e3", "e1"],
+            [("e0", "e6"), ("e0", "e7"), ("e2", "e5"), ("e4", "e2"),
+             ("e4", "e6"), ("e6", "e1"), ("e7", "e2"), ("e7", "e3")],
+        )
+        named.append(("freed", freed))
+        named.append(("no weak points", _doubled_square()))
+        return out, named
+
+    def test_core_replay_search_and_oracle_agree(self):
+        rng = random.Random(7)
+        drawn, named = self.posets()
+        assert len(drawn) + len(named) >= 200
+        cases = [(label, p, len(p) <= self.EXHAUSTIVE_MAX) for label, p in drawn]
+        for label, p, exhaustive in cases + [(label, p, True) for label, p in named]:
+            c, seq = core(p)
+            ref_c, ref_steps = _ref_core(p)
+            assert (c, seq.steps) == (ref_c, ref_steps), label
+            for budget in (3, 20, 100_000) if exhaustive else (3, 20):
+                found = collapse_search(p, budget)
+                expected = _ref_search(p, budget)
+                assert (None if found is None else found.steps) == expected, (label, budget)
+            # Small budgets make the oracle's searches give up, so it goes on
+            # to gamma points, and at budget 0 it can run out of depth.
+            for budget in (0, 3, 100_000):
+                v = triviality_oracle(p, budget)
+                assert v.to_obj() == _ref_oracle(p, budget).to_obj(), (label, budget)
+            # A sequence that holds, and a random one that usually fails part way.
+            draw = [(x, rng.choice(KINDS)) for x in rng.sample(p.elements, min(4, len(p)))]
+            for steps in (seq.steps, draw):
+                left, failed = replay(p, steps)
+                assert (left, failed) == _ref_replay(p, steps), (label, steps)
+                assert verify_removal_sequence(p, RemovalSequence(tuple(steps))) == (failed is None)
